@@ -206,6 +206,11 @@ def main(argv=None) -> int:
             "memberships_identical": all(
                 c["memberships_identical"] for c in cells
             ),
+            # Wall clock of the auto plans over the DISTANCE-TO-ALL cells,
+            # guarded by bench_regress.py.
+            "all_mode_auto_s": sum(
+                c["auto_time_s"] for c in cells if c["mode"] == "all"
+            ),
             "all_ok": not failures,
         },
     }

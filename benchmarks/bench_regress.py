@@ -101,7 +101,9 @@ MANIFEST = [
     ),
     Bench(
         "planner", "bench_planner.py", "BENCH_planner.json",
-        metrics=[],
+        metrics=[
+            Metric("summary.all_mode_auto_s", "lower_is_better", False),
+        ],
         flags=[Flag("summary.all_ok")],
     ),
     Bench(

@@ -11,15 +11,17 @@ groups; the ``ON-OVERLAP`` clause arbitrates:
   pulled from their groups) to a temporary set ``S'`` and re-run SGB-All on
   ``S'`` recursively until it is empty.
 
-Three interchangeable strategies realize ``FindCloseGroups``:
+Four interchangeable strategies realize ``FindCloseGroups``:
 
 * :class:`AllPairsStrategy` — Procedure 2, O(n²) member scans;
 * :class:`BoundsCheckingStrategy` — Procedure 4, ε-All rectangle test per
   group (exact for L∞, + convex-hull refinement for 2-D L2);
 * :class:`IndexedStrategy` — Procedure 5, an R-tree window query over group
-  MBRs replaces the linear scan of groups.
+  MBRs replaces the linear scan of groups;
+* :class:`GridStrategy` — non-paper extension: a uniform grid over one
+  anchor member per group, so a probe visits only nearby groups.
 
-All three produce the same grouping for the same input order (JOIN-ANY with
+All four produce the same grouping for the same input order (JOIN-ANY with
 ``tiebreak="first"``; ELIMINATE and FORM-NEW-GROUP are deterministic), which
 the property-based tests exploit.
 """
@@ -28,14 +30,22 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
-from repro import kernels
-from repro.core.distance import Metric, resolve_metric
+from repro.core.distance import (
+    ChebyshevMetric,
+    EuclideanMetric,
+    Metric,
+    MinkowskiMetric,
+    resolve_metric,
+)
 from repro.core.groups import Group, GroupRegistry
 from repro.core.result import ELIMINATED, GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.geometry.rectangle import Rect
+from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 from repro.obs.metrics import MetricBag
 from repro.obs.trace import Tracer, maybe_span
@@ -143,11 +153,6 @@ class AllPairsStrategy(_StrategyBase):
         return candidates, overlaps
 
 
-#: Live-group count below which the bulk rectangle pass loses to the
-#: plain per-group loop (array setup overhead over a handful of groups).
-_VECTOR_MIN_GROUPS = 16
-
-
 class BoundsCheckingStrategy(_StrategyBase):
     """Procedure 4: ε-All rectangle test per group, linear scan of groups.
 
@@ -155,36 +160,9 @@ class BoundsCheckingStrategy(_StrategyBase):
     tests, and doing them on raw corner tuples (no method dispatch) is what
     keeps this strategy ahead of All-Pairs at bench sizes, matching the
     paper's ordering.
-
-    Under the numpy backend the per-group rectangle tests become two bulk
-    array comparisons over a slotted :class:`~repro.kernels.numpy_backend.
-    RectStore` (ε-All containment for candidates, MBR intersection for
-    overlap groups), kept in sync through the strategy's index hooks.
     """
 
     name = "bounds-checking"
-
-    def __init__(self, eps: float, metric: Metric, use_hull: bool):
-        super().__init__(eps, metric, use_hull)
-        self._rects = None
-        self._rects_ready = False
-
-    # -- rect-store maintenance (via the _StrategyBase mutation hooks) ---
-    def _index_insert(self, group: Group) -> None:
-        if not self._rects_ready:
-            assert group.mbr is not None
-            self._rects = kernels.make_rect_store(group.mbr.dim)
-            self._rects_ready = True
-        if self._rects is not None:
-            self._rects.set(group.gid, group.eps_rect, group.mbr)
-
-    def _index_moved(self, group: Group, old_mbr: Optional[Rect]) -> None:
-        if self._rects is not None:
-            self._rects.set(group.gid, group.eps_rect, group.mbr)
-
-    def _index_delete(self, group: Group, old_mbr: Optional[Rect]) -> None:
-        if self._rects is not None:
-            self._rects.delete(group.gid)
 
     def find_close_groups(
         self, point: Point, need_overlap: bool
@@ -192,17 +170,18 @@ class BoundsCheckingStrategy(_StrategyBase):
         if self.metrics is not None:
             self.metrics.incr("index_probes")
             self.metrics.incr("candidates", len(self.registry))
-        if (
-            self._rects is not None
-            and len(self.registry) >= _VECTOR_MIN_GROUPS
-        ):
-            return self._find_vectorized(point, need_overlap)
+        return self._scan(self.registry, point, need_overlap)
+
+    def _scan(
+        self, groups: Iterable[Group], point: Point, need_overlap: bool
+    ) -> Tuple[List[Group], List[Group]]:
+        """Split ``groups`` into candidates and overlap groups, in order."""
         if len(point) == 2:
-            return self._find_2d(point, need_overlap)
+            return self._scan_2d(groups, point, need_overlap)
         candidates: List[Group] = []
         overlaps: List[Group] = []
         window = Rect.eps_box(point, self.eps) if need_overlap else None
-        for g in self.registry:
+        for g in groups:
             if g.accepts(point):
                 candidates.append(g)
             elif (
@@ -214,9 +193,11 @@ class BoundsCheckingStrategy(_StrategyBase):
                 overlaps.append(g)
         return candidates, overlaps
 
-    def _find_2d(
-        self, point: Point, need_overlap: bool
+    def _scan_2d(
+        self, groups: Iterable[Any], point: Point, need_overlap: bool
     ) -> Tuple[List[Group], List[Group]]:
+        # ``Any`` elements: live groups are never empty, so their
+        # Optional rectangles are set and the loop reads them unchecked.
         candidates: List[Group] = []
         overlaps: List[Group] = []
         x, y = point
@@ -224,7 +205,7 @@ class BoundsCheckingStrategy(_StrategyBase):
         wlo0, wlo1 = x - eps, y - eps
         whi0, whi1 = x + eps, y + eps
         exact = self.metric.name == "linf"
-        for g in self.registry:
+        for g in groups:
             rect = g.eps_rect
             lo = rect.lo
             hi = rect.hi
@@ -240,41 +221,6 @@ class BoundsCheckingStrategy(_StrategyBase):
                 if (mlo[0] <= whi0 and wlo0 <= mhi[0]
                         and mlo[1] <= whi1 and wlo1 <= mhi[1]
                         and g.any_within(point)):
-                    overlaps.append(g)
-        return candidates, overlaps
-
-    def _find_vectorized(
-        self, point: Point, need_overlap: bool
-    ) -> Tuple[List[Group], List[Group]]:
-        """Bulk rectangle filters over every live group at once.
-
-        Results are ordered by group id — identical to the linear scan,
-        which walks the registry in creation order — so JOIN-ANY
-        tiebreaks (random *and* first) see the same candidate lists as
-        the pure-python path.
-        """
-        assert self._rects is not None
-        registry = self.registry
-        exact = self.metric.name == "linf"
-        candidates: List[Group] = []
-        accepted = set()
-        for gid in sorted(self._rects.eps_contains(point)):
-            g = registry.get(gid)
-            if exact or g.refine(point):
-                candidates.append(g)
-                accepted.add(gid)
-            # an L2 false positive may still partially overlap: it stays
-            # eligible for the MBR-intersection pass below
-        overlaps: List[Group] = []
-        if need_overlap:
-            window = Rect.eps_box(point, self.eps)
-            for gid in sorted(
-                self._rects.mbr_intersects(window.lo, window.hi)
-            ):
-                if gid in accepted:
-                    continue
-                g = registry.get(gid)
-                if g.any_within(point):
                     overlaps.append(g)
         return candidates, overlaps
 
@@ -336,6 +282,88 @@ class IndexedStrategy(_StrategyBase):
         self._rtree.delete(old_mbr, group.gid)
 
 
+class GridStrategy(BoundsCheckingStrategy):
+    """Uniform grid over one *anchor* member per group (non-paper
+    extension; Bounds-Checking and Index are the paper's baselines).
+
+    Each live group sits in a :class:`~repro.index.grid.GridIndex` of
+    cell side ε, keyed by its first member; a removal that drops that
+    member re-keys the group by its new first member.  A probe runs
+    Bounds-Checking's tests on the groups anchored near the point only.
+    That is exact because ``L∞ <= δ`` for every Minkowski metric:
+
+    * a candidate has the point within ε of every member, the anchor
+      included, so its anchor lies in the point's ε-box;
+    * an overlap group has a member within ε of both the point and the
+      anchor (groups are cliques), so its anchor lies in the 2ε-box.
+
+    Gathered groups are tested in gid order, so candidate and overlap
+    lists equal the linear scan's and JOIN-ANY's random draws are
+    unchanged.
+    """
+
+    name = "grid"
+
+    def __init__(self, eps: float, metric: Metric, use_hull: bool):
+        if eps <= 0:
+            raise InvalidParameterError(
+                "the grid strategy requires eps > 0 (cell side is eps)"
+            )
+        super().__init__(eps, metric, use_hull)
+        self._grid = GridIndex(cell_size=eps)
+        self._anchors: Dict[int, Point] = {}
+
+    def find_close_groups(
+        self, point: Point, need_overlap: bool
+    ) -> Tuple[List[Group], List[Group]]:
+        radius = 2.0 * self.eps if need_overlap else self.eps
+        gids = self._grid.items_in_cell_range(_probe_box(point, radius))
+        gids.sort()
+        if self.metrics is not None:
+            self.metrics.incr("index_probes")
+            self.metrics.incr("candidates", len(gids))
+        get = self.registry.get
+        return self._scan([get(gid) for gid in gids], point, need_overlap)
+
+    def _index_insert(self, group: Group) -> None:
+        anchor = group.points[0]
+        self._anchors[group.gid] = anchor
+        self._grid.insert(anchor, group.gid)
+
+    def _index_moved(self, group: Group, old_mbr: Optional[Rect]) -> None:
+        anchor = group.points[0]
+        old = self._anchors[group.gid]
+        if anchor != old:
+            self._grid.delete(old, group.gid)
+            self._grid.insert(anchor, group.gid)
+            self._anchors[group.gid] = anchor
+
+    def _index_delete(self, group: Group, old_mbr: Optional[Rect]) -> None:
+        self._grid.delete(self._anchors.pop(group.gid), group.gid)
+
+
+def _probe_box(point: Point, radius: float) -> Rect:
+    """The L∞ box of ``radius`` around ``point``, widened by a relative
+    1e-12 so rounding in ``v ± radius`` cannot drop the cell of an anchor
+    whose rounded distance is exactly ``radius`` (e.g. ``-1e-20`` from
+    ``0.5`` with radius ``0.5``: the box edge rounds to ``0.0``)."""
+    if len(point) == 2:
+        x, y = point
+        rx = radius + (abs(x) + radius) * 1e-12
+        ry = radius + (abs(y) + radius) * 1e-12
+        return Rect._make((x - rx, y - ry), (x + rx, y + ry))
+    lo: List[float] = []
+    hi: List[float] = []
+    for v in point:
+        r = radius + (abs(v) + radius) * 1e-12
+        lo.append(v - r)
+        hi.append(v + r)
+    return Rect._make(tuple(lo), tuple(hi))
+
+
+#: The built-in metrics, for which ``L∞ <= δ`` holds.
+_MINKOWSKI_METRICS = (EuclideanMetric, ChebyshevMetric, MinkowskiMetric)
+
 _STRATEGIES = {
     "all-pairs": AllPairsStrategy,
     "allpairs": AllPairsStrategy,
@@ -345,6 +373,7 @@ _STRATEGIES = {
     "index": IndexedStrategy,
     "indexed": IndexedStrategy,
     "rtree": IndexedStrategy,
+    "grid": GridStrategy,
 }
 
 
@@ -369,7 +398,9 @@ class SGBAllOperator:
     on_overlap:
         ``"join-any"`` | ``"eliminate"`` | ``"form-new-group"``.
     strategy:
-        ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"``.
+        ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"`` |
+        ``"grid"``.  ``"grid"`` falls back to bounds-checking when
+        ``eps == 0`` or the metric is not a built-in Minkowski metric.
     tiebreak:
         JOIN-ANY arbitration: ``"random"`` (paper semantics, seeded) or
         ``"first"`` (deterministic lowest group id; used to compare
@@ -430,6 +461,13 @@ class SGBAllOperator:
                 f"unknown strategy {strategy!r}; expected one of "
                 f"{sorted(set(_STRATEGIES))}"
             ) from None
+        if self._strategy_cls is GridStrategy and (
+            self.eps == 0
+            or type(resolve_metric(metric)) not in _MINKOWSKI_METRICS
+        ):
+            # eps == 0 leaves no cell side, and a custom metric need not
+            # satisfy L∞ <= δ, which the anchor-cell bound relies on.
+            self._strategy_cls = BoundsCheckingStrategy
 
         self._points: List[Point] = []
         self._dim: Optional[int] = None

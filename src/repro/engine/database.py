@@ -90,8 +90,9 @@ class Database:
     ``sgb_all_strategy`` / ``sgb_any_strategy``
         ``"auto"`` (default) lets the cost-based planner pick the cheapest
         strategy per query from table statistics (``ANALYZE``); a concrete
-        name — ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"`` for
-        All, ``"all-pairs"`` | ``"index"`` | ``"grid"`` for Any — is an
+        name — ``"all-pairs"`` | ``"bounds-checking"`` | ``"index"`` |
+        ``"grid"`` for All, ``"all-pairs"`` | ``"index"`` | ``"grid"`` |
+        ``"kdtree"`` | ``"rtree-bulk"`` | ``"hilbert-grid"`` for Any — is an
         override that always wins.  Every strategy produces bit-identical
         groups, so the knob only moves time around.
     ``tiebreak`` / ``seed``

@@ -5,6 +5,8 @@ hash grid with cell side ``ε`` answers by probing a constant number of
 neighbouring cells.  The benchmark suite compares this against the R-tree
 (``benchmarks/bench_ablation.py``) to quantify how much of the paper's
 speed-up comes from indexing per se versus the specific index structure.
+The SGB-All ``grid`` strategy keys its live groups here by one anchor
+member each.
 """
 
 from __future__ import annotations
@@ -121,11 +123,21 @@ class GridIndex:
         candidates in bulk (:mod:`repro.kernels`) run the containment and
         distance tests as one vectorized pass over the gathered ids.
         """
-        lo_cell = self._cell_of(window.lo)
-        hi_cell = self._cell_of(window.hi)
+        lo, hi = window.lo, window.hi
+        get = self._cells.get
         out: List[Any] = []
-        for cell in _cell_range(lo_cell, hi_cell):
-            bucket = self._cells.get(cell)
+        if len(lo) == 2:  # common case, unrolled: no generator, no _cell_of
+            size = self.cell_size
+            ys = range(int(lo[1] // size), int(hi[1] // size) + 1)
+            for x in range(int(lo[0] // size), int(hi[0] // size) + 1):
+                for y in ys:
+                    bucket = get((x, y))
+                    if bucket:
+                        for _, item in bucket:
+                            out.append(item)
+            return out
+        for cell in _cell_range(self._cell_of(lo), self._cell_of(hi)):
+            bucket = get(cell)
             if bucket:
                 for _, item in bucket:
                     out.append(item)

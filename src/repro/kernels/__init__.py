@@ -2,9 +2,8 @@
 
 Every SGB strategy ultimately evaluates the similarity predicate against a
 *block* of points: the naive all-pairs scan, a grid cell neighbourhood,
-the R-tree window hits, a group's member list, or the per-group ε-All /
-MBR rectangle filters.  This package is the seam between those call sites
-and two interchangeable implementations:
+the R-tree window hits, or a group's member list.  This package is the
+seam between those call sites and two interchangeable implementations:
 
 * ``numpy`` — vectorized array-at-a-time kernels over contiguous buffers
   (:mod:`repro.kernels.numpy_backend`; requires the ``fast`` extra);
@@ -152,10 +151,14 @@ def make_point_store() -> Any:
     return _impl.make_point_store()
 
 
-def make_rect_store(dim: int) -> Optional[Any]:
-    """Bulk (ε-All rect, MBR) store, or None when the backend prefers
-    the caller's per-group loops (python backend)."""
-    return _impl.make_rect_store(dim)
+def make_rect_store(dim: int) -> None:
+    """Always None: no backend keeps a bulk (ε-All rect, MBR) store.
+
+    Bounds-Checking runs the paper's per-group loop, and the ``grid``
+    SGB-All strategy tests only nearby groups.  Kept so callers that
+    probe for the store before instrumenting it keep working.
+    """
+    return None
 
 
 def make_group_block() -> Optional[Any]:
@@ -180,6 +183,5 @@ __all__ = [
     "batch_window_query",
     "batch_eps_neighbors",
     "make_point_store",
-    "make_rect_store",
     "make_group_block",
 ]

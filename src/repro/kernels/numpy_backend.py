@@ -20,7 +20,7 @@ amortized O(d) with no list→array conversion on the query path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -400,89 +400,8 @@ class GroupBlock:
         return mask
 
 
-class RectStore:
-    """Slotted (ε-All rect, MBR) arrays for the bounds-checking strategy.
-
-    One slot per live group; frees are recycled.  Dead slots are parked at
-    ``+inf`` lo / ``-inf`` hi corners so every vectorized test rejects
-    them without a separate liveness mask.
-    """
-
-    backend = name
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        cap = 16
-        self._eps_lo = np.full((cap, dim), np.inf)
-        self._eps_hi = np.full((cap, dim), -np.inf)
-        self._mbr_lo = np.full((cap, dim), np.inf)
-        self._mbr_hi = np.full((cap, dim), -np.inf)
-        self._items: List[Any] = [None] * cap
-        self._free: List[int] = list(range(cap - 1, -1, -1))
-        self._slot_of: Dict[Any, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._slot_of)
-
-    def _grow(self) -> None:
-        old = self._eps_lo.shape[0]
-        new = old * 2
-        for attr in ("_eps_lo", "_eps_hi", "_mbr_lo", "_mbr_hi"):
-            arr = getattr(self, attr)
-            fill = np.inf if attr.endswith("lo") else -np.inf
-            grown = np.full((new, self.dim), fill)
-            grown[:old] = arr
-            setattr(self, attr, grown)
-        self._items.extend([None] * (new - old))
-        self._free.extend(range(new - 1, old - 1, -1))
-
-    def set(self, item: Any, eps_rect: Any, mbr: Any) -> None:
-        """Insert or update the rectangles for ``item`` (a group id)."""
-        slot = self._slot_of.get(item)
-        if slot is None:
-            if not self._free:
-                self._grow()
-            slot = self._free.pop()
-            self._slot_of[item] = slot
-            self._items[slot] = item
-        self._eps_lo[slot] = eps_rect.lo
-        self._eps_hi[slot] = eps_rect.hi
-        self._mbr_lo[slot] = mbr.lo
-        self._mbr_hi[slot] = mbr.hi
-
-    def delete(self, item: Any) -> None:
-        slot = self._slot_of.pop(item)
-        self._eps_lo[slot] = np.inf
-        self._eps_hi[slot] = -np.inf
-        self._mbr_lo[slot] = np.inf
-        self._mbr_hi[slot] = -np.inf
-        self._items[slot] = None
-        self._free.append(slot)
-
-    def eps_contains(self, point: Coords) -> List[Any]:
-        """Items whose ε-All rectangle contains ``point`` (closed)."""
-        q = np.asarray(point, dtype=np.float64)
-        mask = ((self._eps_lo <= q) & (q <= self._eps_hi)).all(axis=1)
-        items = self._items
-        return [items[s] for s in np.flatnonzero(mask)]
-
-    def mbr_intersects(self, lo: Coords, hi: Coords) -> List[Any]:
-        """Items whose MBR intersects the closed box ``[lo, hi]``."""
-        lo_a = np.asarray(lo, dtype=np.float64)
-        hi_a = np.asarray(hi, dtype=np.float64)
-        mask = (
-            (self._mbr_lo <= hi_a) & (lo_a <= self._mbr_hi)
-        ).all(axis=1)
-        items = self._items
-        return [items[s] for s in np.flatnonzero(mask)]
-
-
 def make_point_store() -> PointStore:
     return PointStore()
-
-
-def make_rect_store(dim: int) -> RectStore:
-    return RectStore(dim)
 
 
 def make_group_block() -> GroupBlock:

@@ -183,12 +183,6 @@ def make_point_store() -> PointStore:
     return PointStore()
 
 
-def make_rect_store(dim: int) -> Optional["object"]:
-    """The python backend has no bulk rectangle store; callers fall back
-    to their per-group loops (the seed behaviour)."""
-    return None
-
-
 def make_group_block() -> Optional["object"]:
     """No per-group coordinate block either; ``Group`` keeps its loops."""
     return None

@@ -34,7 +34,9 @@ AUTO = "auto"
 ANY_STRATEGIES: Tuple[str, ...] = (
     "all-pairs", "index", "grid", "kdtree", "rtree-bulk", "hilbert-grid",
 )
-ALL_STRATEGIES: Tuple[str, ...] = ("all-pairs", "bounds-checking", "index")
+ALL_STRATEGIES: Tuple[str, ...] = (
+    "all-pairs", "bounds-checking", "index", "grid",
+)
 
 #: Fallbacks when the chooser has nothing to go on (no stats, tiny input).
 DEFAULT_ANY_STRATEGY = "index"
@@ -80,10 +82,13 @@ def choose_strategy(mode: str, n: float, avg_neighbors: Optional[float],
             {},
         )
     k = avg_neighbors if avg_neighbors is not None else min(n, 16.0)
-    if eps <= 0 and mode == "any":
-        # Degenerates to equality grouping; the grid cannot express a
-        # zero cell size (the operator falls back to all-pairs anyway).
-        candidates = ("all-pairs", "index")
+    if eps <= 0:
+        # Degenerates to equality grouping; the grids cannot express a
+        # zero cell size (the operators fall back to a scan anyway).
+        candidates = tuple(
+            s for s in candidates
+            if s in ("all-pairs", "bounds-checking", "index")
+        )
     costs = {s: sgb_strategy_cost(mode, s, n, k) for s in candidates}
     best = min(costs, key=lambda s: costs[s])
     reason = (

@@ -108,8 +108,12 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
       descent with python-object constants per level.
     * SGB-All strategies additionally walk candidate *groups*: all-pairs
       re-checks every stored member and scans the group list (dominant
-      when groups ≈ n), bounds-checking rejects most groups with one
-      cheap rectangle test, the R-tree probes group rectangles.
+      when groups ≈ n), bounds-checking rejects every live group with
+      one cheap rectangle test in a python loop, the R-tree probes group
+      rectangles, and the anchor grid (a non-paper extension) pays a flat
+      cell gather per probe plus exact tests on the few groups anchored
+      nearby, so it wins every bench_planner cell and loses only the
+      ε = 0 case, where the chooser does not rank it.
     """
     n = max(1.0, n)
     k = max(0.0, avg_neighbors)
@@ -122,9 +126,13 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
             per_point = (n / 2.0) * (0.15 + 0.6 / (k + 1.0))
         elif strategy in ("bounds-checking", "bounds"):
             # Constant bookkeeping + one rectangle test per live group.
-            per_point = 40.0 + 0.02 * groups
+            per_point = 40.0 + 0.04 * groups
         elif strategy in ("index", "indexed", "rtree"):
             per_point = 8.0 * math.log2(n + 1.0) + 0.025 * groups
+        elif strategy == "grid":
+            # Flat cell gather around the point, plus exact tests on the
+            # nearby groups, whose members grow with the density.
+            per_point = 30.0 + 0.1 * k
         else:
             per_point = n  # unknown: pessimistic quadratic
     else:

@@ -12,7 +12,7 @@ from repro.core.api import sgb_all, sgb_any
 from repro.core.sgb_all import SGBAllOperator
 from repro.obs import MetricBag
 
-ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index"]
+ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index", "grid"]
 OVERLAP_CLAUSES = ["join-any", "eliminate", "form-new-group"]
 ANY_STRATEGIES = ["all-pairs", "index", "grid"]
 
@@ -94,7 +94,7 @@ class TestPruningReducesDistanceComputations:
         op.finalize()
         return bag.get("distance_computations")
 
-    @pytest.mark.parametrize("strategy", ["bounds-checking", "index"])
+    @pytest.mark.parametrize("strategy", ["bounds-checking", "index", "grid"])
     def test_pruning_strictly_below_all_pairs(self, strategy):
         assert self._distance_count(strategy) < \
             self._distance_count("all-pairs")
@@ -111,3 +111,4 @@ class TestPruningReducesDistanceComputations:
         # The R-tree window query examines far fewer group candidates than
         # a linear registry scan on a clustered workload.
         assert candidates("index") < candidates("all-pairs")
+        assert candidates("grid") < candidates("all-pairs")

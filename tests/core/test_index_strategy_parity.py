@@ -1,22 +1,29 @@
 """Bit-identical membership parity across every index strategy.
 
 The index layer (STR bulk loading, Hilbert presorting, the static k-d
-tree) buys raw speed only — group labels must stay *bit-identical* to
+tree, the SGB-All anchor grid) buys raw speed only — group labels must stay *bit-identical* to
 the linear scan on every workload shape, under both kernel backends, for
 both SGB modes.  Strategy choice is purely a performance decision; this
 file is the contract that keeps it that way.
 """
 
+import random
+
 import pytest
 
-from repro import kernels
+from repro import Database, kernels
 from repro.bench.experiments import skewed_points, uniform_points
 from repro.core.api import sgb_all, sgb_any
+from repro.core.distance import Metric
+from repro.core.sgb_all import SGBAllOperator
+from repro.obs.metrics import MetricBag
+from repro.streaming import StreamingSGBAll
 
 ANY_STRATEGIES = [
     "all-pairs", "index", "grid", "kdtree", "rtree-bulk", "hilbert-grid",
 ]
-ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index"]
+ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index", "grid"]
+CLAUSES = ["join-any", "eliminate", "form-new-group"]
 
 #: (name, points, eps) — dense, sparse, and cluster-skewed ε-graphs,
 #: plus heavy duplicates (zero-spread k-d segments, stacked grid cells).
@@ -84,3 +91,170 @@ class TestCrossBackendParity:
             reference = sgb_any(points, eps, "l2", strategy).labels
         with kernels.use_backend(backend):
             assert sgb_any(points, eps, "l2", strategy).labels == reference
+
+
+def _random_points(n, dim, seed, span):
+    rng = random.Random(seed)
+    return [tuple(rng.uniform(-span, span) for _ in range(dim))
+            for _ in range(n)]
+
+
+def _edge_points():
+    """Coordinates on the grid's cell edges (multiples of eps=0.5, exact
+    in binary), negative ones included: exact-ε pairs and duplicates."""
+    return [(0.25 * (i % 9 - 4), 0.5 * (i % 5 - 2)) for i in range(60)]
+
+
+def _assert_grid_matches_all_pairs(points, eps, metric, clause, tiebreak,
+                                   seed=0):
+    reference = sgb_all(points, eps, metric, clause, "all-pairs",
+                        tiebreak=tiebreak, seed=seed).labels
+    labels = sgb_all(points, eps, metric, clause, "grid",
+                     tiebreak=tiebreak, seed=seed).labels
+    assert labels == reference
+
+
+def _assert_anchors_consistent(op):
+    """Every live group is in the grid exactly once, under its first
+    member."""
+    strat = op._strategy
+    keyed = sorted((gid, pt) for pt, gid in strat._grid.items())
+    assert keyed == sorted((g.gid, g.points[0]) for g in strat.registry)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("tiebreak", ["random", "first"])
+@pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
+@pytest.mark.parametrize("clause", CLAUSES)
+class TestAllGridParity:
+    """The SGB-All grid against the all-pairs executable spec."""
+
+    def test_random_points(self, backend, dim, tiebreak, metric, clause):
+        points = _random_points(120, dim, seed=dim, span=3.0)
+        with kernels.use_backend(backend):
+            _assert_grid_matches_all_pairs(points, 0.7, metric, clause,
+                                           tiebreak, seed=5)
+
+    def test_cell_edges_negative_coords_and_duplicates(
+        self, backend, dim, tiebreak, metric, clause
+    ):
+        points = [p[:dim] + (0.5,) * (dim - 2) for p in _edge_points()]
+        with kernels.use_backend(backend):
+            _assert_grid_matches_all_pairs(points, 0.5, metric, clause,
+                                           tiebreak, seed=3)
+
+
+class TestAllGridRounding:
+    @pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
+    def test_pair_whose_rounded_distance_is_exactly_eps(self, metric):
+        # |0.5 - (-1e-20)| rounds to 0.5, so the pair is similar, yet
+        # 0.5 - 0.5 = 0.0 puts the probe box's edge in the cell right of
+        # the anchor's; the probe box must be widened to reach it.
+        points = [(-1e-20, 0.0), (0.5, 0.0)]
+        for clause in CLAUSES:
+            assert sgb_all(points, 0.5, metric, clause, "grid").labels == \
+                [0, 0]
+
+
+class TestAllGridAnchors:
+    def test_eliminate_rekeys_a_group_whose_anchor_is_dropped(self):
+        # 0.0 anchors group A; -1.0 overlaps A only through 0.0, so
+        # ELIMINATE drops 0.0 and A survives as {0.9}; 1.8 must then find
+        # A through its new anchor.
+        points = [(0.0,), (0.9,), (-1.0,), (1.8,)]
+        op = SGBAllOperator(1.0, "linf", "eliminate", "grid",
+                            tiebreak="first")
+        for p in points[:3]:
+            op.add(p)
+        _assert_anchors_consistent(op)
+        assert [g.points for g in op._strategy.registry] == [
+            [(0.9,)], [(-1.0,)]
+        ]
+        op.add(points[3])
+        _assert_anchors_consistent(op)
+        result = op.finalize()
+        assert result.labels == sgb_all(points, 1.0, "linf", "eliminate",
+                                        "all-pairs", tiebreak="first").labels
+        assert result.labels[1] == result.labels[3]
+
+    def test_anchors_stay_consistent_under_churn(self):
+        points = _random_points(200, 2, seed=11, span=2.0)
+        op = SGBAllOperator(0.5, "l2", "eliminate", "grid", seed=2)
+        for p in points:
+            op.add(p)
+            _assert_anchors_consistent(op)
+
+    @pytest.mark.parametrize("metric", ["l2", "linf"])
+    def test_form_new_group_regroup_passes(self, metric):
+        points = _random_points(200, 2, seed=4, span=2.0)
+        bag = MetricBag()
+        op = SGBAllOperator(0.6, metric, "form-new-group", "grid",
+                            tiebreak="random", seed=7, metrics=bag)
+        labels = op.add_many(points).finalize().labels
+        assert bag.get("deferred") > 0  # S' is regrouped at least once
+        assert labels == sgb_all(points, 0.6, metric, "form-new-group",
+                                 "all-pairs", seed=7).labels
+
+
+class _ScaledLinf(Metric):
+    """A custom metric (2·L∞): the grid may not assume its cell bound."""
+
+    name = "scaled-linf"
+
+    def distance(self, p, q):
+        return 2.0 * max(abs(a - b) for a, b in zip(p, q))
+
+
+class TestAllGridFallbacks:
+    def test_eps_zero_falls_back_to_bounds_checking(self):
+        points = [(float(i % 3), float(i % 2)) for i in range(30)]
+        op = SGBAllOperator(0.0, strategy="grid", tiebreak="first")
+        assert op.strategy_name == "bounds-checking"
+        labels = op.add_many(points).finalize().labels
+        assert labels == sgb_all(points, 0.0, strategy="all-pairs",
+                                 tiebreak="first").labels
+
+    def test_custom_metric_falls_back_to_bounds_checking(self):
+        points = _random_points(80, 2, seed=6, span=2.0)
+        op = SGBAllOperator(0.5, _ScaledLinf(), "eliminate", "grid")
+        assert op.strategy_name == "bounds-checking"
+        labels = op.add_many(points).finalize().labels
+        assert labels == sgb_all(points, 0.5, _ScaledLinf(), "eliminate",
+                                 "all-pairs").labels
+
+    def test_builtin_metrics_keep_the_grid(self):
+        for metric in ("l2", "linf", "l1"):
+            op = SGBAllOperator(0.5, metric, strategy="grid")
+            assert op.strategy_name == "grid"
+
+
+class TestAllGridOtherPaths:
+    @pytest.mark.parametrize("clause", CLAUSES)
+    def test_sql_path(self, clause):
+        points = skewed_points(300, seed=3, span=40.0)
+        sql = ("SELECT min(id), count(*) FROM pts GROUP BY x, y "
+               f"DISTANCE-TO-ALL L2 WITHIN 1.5 ON-OVERLAP {clause.upper()}")
+        rows = {}
+        for strategy in ("all-pairs", "grid"):
+            db = Database(sgb_all_strategy=strategy)
+            db.execute("CREATE TABLE pts (id INT, x FLOAT, y FLOAT)")
+            db.table("pts").insert_many(
+                [(i, x, y) for i, (x, y) in enumerate(points)]
+            )
+            rows[strategy] = sorted(db.execute(sql).rows)
+            plan = "\n".join(r[0] for r in db.execute("EXPLAIN " + sql).rows)
+            assert f"strategy={strategy}/flag" in plan
+        assert rows["grid"] == rows["all-pairs"]
+
+    @pytest.mark.parametrize("clause", CLAUSES)
+    def test_streaming_wrapper(self, clause):
+        points = _random_points(150, 2, seed=9, span=3.0)
+        eng = StreamingSGBAll(eps=0.8, on_overlap=clause, strategy="grid",
+                              seed=4)
+        eng.extend(points[:70])
+        eng.snapshot()  # mid-stream snapshot must not disturb the stream
+        eng.extend(points[70:])
+        batch = sgb_all(points, 0.8, on_overlap=clause,
+                        strategy="all-pairs", seed=4)
+        assert eng.snapshot().partition() == batch.partition()

@@ -7,7 +7,7 @@ from repro.core.distance import L2, LINF
 from repro.core.groups import Group
 from repro.geometry.rectangle import Rect
 
-ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index"]
+ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index", "grid"]
 ANY_STRATEGIES = [
     "all-pairs", "index", "grid", "kdtree", "rtree-bulk", "hilbert-grid",
 ]

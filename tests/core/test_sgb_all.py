@@ -7,7 +7,7 @@ from repro.core.result import ELIMINATED
 from repro.core.sgb_all import SGBAllOperator, normalize_overlap
 from repro.errors import InvalidParameterError
 
-STRATEGIES = ["all-pairs", "bounds-checking", "index"]
+STRATEGIES = ["all-pairs", "bounds-checking", "index", "grid"]
 
 
 class TestNormalizeOverlap:

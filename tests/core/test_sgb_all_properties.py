@@ -4,9 +4,9 @@ Key invariants:
 
 * every output group is a clique under the similarity predicate, for every
   strategy × overlap clause × metric combination;
-* the three strategies produce identical groupings for the same input order
+* the four strategies produce identical groupings for the same input order
   (deterministic tiebreak) — All-Pairs is the executable spec (Procedure 2),
-  Bounds-Checking and Index must agree with it;
+  Bounds-Checking, Index and Grid must agree with it;
 * ELIMINATE partitions the input into groups + eliminated, FORM-NEW-GROUP
   and JOIN-ANY place every point.
 """
@@ -32,7 +32,7 @@ class TestCliqueInvariant:
     @settings(max_examples=40, deadline=None)
     @given(points=points_strategy, eps=eps_strategy)
     def test_every_group_is_a_clique(self, clause, metric, points, eps):
-        for strategy in ("all-pairs", "bounds-checking", "index"):
+        for strategy in ("all-pairs", "bounds-checking", "index", "grid"):
             res = sgb_all(points, eps, metric, clause, strategy,
                           tiebreak="first")
             for members in res.groups().values():
@@ -57,13 +57,40 @@ class TestStrategyEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(points=points_strategy, eps=eps_strategy)
     def test_strategies_agree(self, clause, metric, points, eps):
-        """Bounds-Checking and Index must reproduce the All-Pairs spec."""
+        """Bounds-Checking, Index and Grid must reproduce the All-Pairs
+        spec."""
         reference = sgb_all(points, eps, metric, clause, "all-pairs",
                             tiebreak="first")
-        for strategy in ("bounds-checking", "index"):
+        for strategy in ("bounds-checking", "index", "grid"):
             other = sgb_all(points, eps, metric, clause, strategy,
                             tiebreak="first")
             assert other == reference, strategy
+
+
+#: Multiples of 0.25 in [-2, 2]: exact in binary, so with eps in
+#: {0.25, 0.5, 1} points land on cell edges (negative ones exercise floor
+#: division), pairs sit at exactly ε and duplicates are common.
+edge_coord = st.integers(-8, 8).map(lambda k: k * 0.25)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
+@pytest.mark.parametrize("clause", CLAUSES)
+class TestGridOnCellEdges:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), eps=st.sampled_from([0.25, 0.5, 1.0]),
+           tiebreak=st.sampled_from(["random", "first"]),
+           seed=st.integers(0, 100))
+    def test_grid_equals_all_pairs(self, dim, metric, clause, data, eps,
+                                   tiebreak, seed):
+        points = data.draw(st.lists(
+            st.tuples(*[edge_coord] * dim), min_size=0, max_size=30
+        ))
+        reference = sgb_all(points, eps, metric, clause, "all-pairs",
+                            tiebreak=tiebreak, seed=seed)
+        grid = sgb_all(points, eps, metric, clause, "grid",
+                       tiebreak=tiebreak, seed=seed)
+        assert grid.labels == reference.labels
 
 
 class TestDegenerateEps:

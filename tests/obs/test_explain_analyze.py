@@ -191,3 +191,50 @@ class TestInstrumentationOffByDefault:
                        "calls")
         assert hasattr(SGBAnyOperator(eps=1, metrics=MetricBag()).metric,
                        "calls")
+
+
+@pytest.fixture(scope="module")
+def checkins():
+    from repro.workloads import gowalla
+
+    return gowalla(1500, seed=1)
+
+
+def _checkin_db(dataset, **config):
+    d = Database(**config)
+    dataset.populate(d, "checkins")
+    d.execute("ANALYZE")
+    return d
+
+
+class TestCheckinSGBAllGrid:
+    """The check-in SGB-All queries run on the anchor grid by default."""
+
+    @pytest.mark.parametrize("args", [(0.05, "l2", "join-any"),
+                                      (0.2, "linf", "eliminate")])
+    def test_explain_shows_grid_chosen_from_stats(self, checkins, args):
+        from repro.workloads.queries import checkin_sgb_all
+
+        d = _checkin_db(checkins)
+        plan = "\n".join(
+            row[0] for row in d.execute("EXPLAIN " + checkin_sgb_all(*args))
+            .rows
+        )
+        assert "strategy=grid/stats" in plan
+
+    def test_candidates_bounded_and_below_bounds_checking(self, checkins):
+        from repro.workloads.queries import checkin_sgb_all
+
+        sql = checkin_sgb_all(0.05, "l2", "join-any")
+        grid = _checkin_db(checkins).analyze(sql)
+        scan = _checkin_db(
+            checkins, sgb_all_strategy="bounds-checking"
+        ).analyze(sql)
+        assert sorted(grid.rows) == sorted(scan.rows)
+        totals = grid.node_counters()
+        # JOIN-ANY never drops a group: the output rows are every group
+        # that was ever live.
+        live_groups = len(grid.rows)
+        assert totals["index_probes"] == totals["points"]
+        assert totals["candidates"] <= totals["points"] * live_groups
+        assert totals["candidates"] < scan.node_counters()["candidates"]

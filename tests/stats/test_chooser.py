@@ -20,14 +20,21 @@ class TestChooseStrategy:
         assert strategy == "grid"
         assert costs["grid"] < costs["all-pairs"] < costs["index"]
 
-    def test_sparse_all_prefers_bounds_checking(self):
+    def test_sparse_all_prefers_grid(self):
         strategy, _, costs = choose_strategy("all", 5000, 0.1, 0.05)
-        assert strategy == "bounds-checking"
-        assert costs["bounds-checking"] < costs["all-pairs"]
+        assert strategy == "grid"
+        assert costs["grid"] < costs["bounds-checking"] < costs["all-pairs"]
 
-    def test_dense_all_prefers_bounds_checking(self):
-        strategy, _, _ = choose_strategy("all", 5000, 100.0, 1.5)
-        assert strategy == "bounds-checking"
+    def test_dense_all_prefers_grid(self):
+        strategy, _, costs = choose_strategy("all", 5000, 100.0, 1.5)
+        assert strategy == "grid"
+        assert costs["grid"] < costs["bounds-checking"]
+
+    def test_zero_eps_all_never_picks_grid(self):
+        # the SGB-All grid has no cell size at eps=0 either
+        strategy, _, costs = choose_strategy("all", 5000, 0.1, 0.0)
+        assert strategy != "grid"
+        assert "grid" not in costs
 
     def test_zero_eps_any_never_picks_grid(self):
         # eps=0 degenerates to equality grouping; the grid has no cell size
@@ -95,7 +102,7 @@ class TestResolveSGBChoice:
         choice = resolve_sgb_choice("all", AUTO, 0.05, 5000.0, 0.1,
                                     None, None)
         assert choice.source == "stats"
-        assert choice.strategy == "bounds-checking"
+        assert choice.strategy == "grid"
         assert choice.costs  # ranked costs recorded for EXPLAIN / debugging
 
     def test_configured_parallel_respected(self):

@@ -58,7 +58,7 @@ class TestSnapshotEqualsBatchPrefix:
 
     @pytest.mark.parametrize("metric", ["l2", "linf"])
     @pytest.mark.parametrize("strategy", ["all-pairs", "bounds-checking",
-                                          "index"])
+                                          "index", "grid"])
     def test_strategies_and_metrics(self, strategy, metric):
         pts = random_points(90, seed=8)
         eng = StreamingSGBAll(eps=0.8, metric=metric, strategy=strategy,
