@@ -91,6 +91,7 @@ MANIFEST = [
             Metric("operator.off_vs_baseline", "lower_is_better", True),
             Metric("sql.on_vs_off", "lower_is_better", True),
             Metric("sql.profile_off_vs_off", "lower_is_better", True),
+            Metric("sql.analyze_vs_off", "lower_is_better", True),
         ],
         flags=[Flag("pass")],
     ),

@@ -14,7 +14,16 @@ Three measurements over the same SGB-Any workload:
   (per-probe histogram timers, ingest/finalize spans).  Reported, not
   asserted: this is the price of turning observability on.
 
-A fourth row times the end-to-end SQL path (``Database`` SELECT) with
+An EXPLAIN ANALYZE row times the check-in ``any_fine`` query (the
+``checkin_sgb`` benchmark's SGB-Any query) as SQL ``EXPLAIN ANALYZE``
+against the plain query: **analyze** (the default, no memory sampling)
+is asserted ≤ ``ANALYZE_THRESHOLD`` (1.25) times the plain query;
+**analyze_memory** (``EXPLAIN (ANALYZE, MEMORY)``, tracemalloc on) is
+reported, not asserted.  The cell loads the benchmark's 5000
+check-ins in both modes: fixed per-query costs would weigh more on a
+smaller table than they do on the workload the bound is about.
+
+A further row times the end-to-end SQL path (``Database`` SELECT) with
 ``trace=False`` vs ``trace=True`` for the query-span + plan-node layer,
 and the sampling-profiler states: **profile_off** (profiler was enabled
 once, then stopped — the worst "off" case, asserted ≤ threshold vs the
@@ -47,6 +56,9 @@ from repro.obs.metrics import MetricBag  # noqa: E402
 from repro.obs.trace import Tracer  # noqa: E402
 
 EPS = 1.0  # uniform_points spans a 20x20 square; ~Fig. 9 mid-density.
+ANALYZE_THRESHOLD = 1.25  # max EXPLAIN ANALYZE / plain wall-time ratio
+CHECKINS = 5000  # rows of the check-in benchmark table
+ANALYZE_ROUNDS = 15
 STRATEGY = "grid"
 
 
@@ -162,6 +174,39 @@ def sql_pair(n: int, rounds: int):
     return times
 
 
+def analyze_cells(rounds: int):
+    """Plain check-in ``any_fine`` vs SQL EXPLAIN ANALYZE (min over
+    ``ANALYZE_ROUNDS`` interleaved rounds: the asserted pair is cheap, so
+    it gets enough rounds for a stable min), and EXPLAIN (ANALYZE,
+    MEMORY) over ``rounds``."""
+    from repro.engine.database import Database
+    from repro.workloads import gowalla
+    from repro.workloads.queries import checkin_sgb_any
+
+    db = Database()
+    gowalla(CHECKINS, seed=1).populate(db, "checkins")
+    db.execute("ANALYZE")
+    sql = checkin_sgb_any(0.05, "l2")
+    fns = {
+        name: (lambda _, text=text: db.execute(text))
+        for name, text in (
+            ("off", sql),
+            ("analyze", "EXPLAIN ANALYZE " + sql),
+            ("analyze_memory", "EXPLAIN (ANALYZE, MEMORY) " + sql),
+        )
+    }
+    for fn in fns.values():
+        fn(None)  # warmup
+    times = time_interleaved(
+        [("off", fns["off"]), ("analyze", fns["analyze"])], None,
+        ANALYZE_ROUNDS,
+    )
+    times.update(time_interleaved(
+        [("analyze_memory", fns["analyze_memory"])], None, rounds,
+    ))
+    return times
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -213,6 +258,16 @@ def main(argv=None) -> int:
     print(f"[sql profile_on ] {sql_times['profile_on'] * 1000:8.2f} ms   "
           f"ratio {profile_on_ratio:.3f}  (reported, not asserted)")
 
+    analyze_times = analyze_cells(rounds)
+    analyze_ratio = analyze_times["analyze"] / analyze_times["off"]
+    memory_ratio = analyze_times["analyze_memory"] / analyze_times["off"]
+    print(f"[checkin off] {analyze_times['off'] * 1000:8.2f} ms   "
+          f"[EXPLAIN ANALYZE] {analyze_times['analyze'] * 1000:8.2f} ms   "
+          f"ratio {analyze_ratio:.3f}  (threshold {ANALYZE_THRESHOLD})")
+    print(f"[EXPLAIN (ANALYZE, MEMORY)] "
+          f"{analyze_times['analyze_memory'] * 1000:8.2f} ms   "
+          f"ratio {memory_ratio:.3f}  (reported, not asserted)")
+
     payload = {
         "benchmark": "trace-overhead",
         "stamp": bench_stamp(),
@@ -222,6 +277,8 @@ def main(argv=None) -> int:
             "eps": EPS,
             "strategy": STRATEGY,
             "threshold": args.threshold,
+            "analyze_threshold": ANALYZE_THRESHOLD,
+            "checkins": CHECKINS,
             "quick": args.quick,
         },
         "operator": {
@@ -240,9 +297,15 @@ def main(argv=None) -> int:
             "profile_on_s": sql_times["profile_on"],
             "profile_off_vs_off": profile_off_ratio,
             "profile_on_vs_off": profile_on_ratio,
+            "checkin_off_s": analyze_times["off"],
+            "analyze_s": analyze_times["analyze"],
+            "analyze_vs_off": analyze_ratio,
+            "analyze_memory_s": analyze_times["analyze_memory"],
+            "analyze_memory_vs_off": memory_ratio,
         },
         "pass": (off_ratio <= args.threshold
-                 and profile_off_ratio <= args.threshold),
+                 and profile_off_ratio <= args.threshold
+                 and analyze_ratio <= ANALYZE_THRESHOLD),
     }
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
@@ -255,6 +318,10 @@ def main(argv=None) -> int:
     if profile_off_ratio > args.threshold:
         print(f"FAIL: profiler-off overhead {profile_off_ratio:.4f} "
               f"exceeds {args.threshold}", file=sys.stderr)
+        failed = True
+    if analyze_ratio > ANALYZE_THRESHOLD:
+        print(f"FAIL: EXPLAIN ANALYZE overhead {analyze_ratio:.4f} exceeds "
+              f"{ANALYZE_THRESHOLD}", file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

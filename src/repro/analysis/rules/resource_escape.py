@@ -109,9 +109,14 @@ class ResourceEscapeRule(ProjectRule):
         for node in ast.walk(func_node):
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
-                    exprs.add(id(item.context_expr))
-                    if isinstance(item.context_expr, ast.Name):
-                        names.add(item.context_expr.id)
+                    expr = item.context_expr
+                    # ``with a() if cond else b():`` enters either arm.
+                    arms = ([expr.body, expr.orelse]
+                            if isinstance(expr, ast.IfExp) else [expr])
+                    for arm in arms:
+                        exprs.add(id(arm))
+                        if isinstance(arm, ast.Name):
+                            names.add(arm.id)
         return names, exprs
 
     def _cm_factory_kind(self, project, sym,

@@ -299,7 +299,9 @@ def table1(
     """Empirical growth exponents for each (strategy × overlap clause).
 
     The paper's Table 1 gives asymptotic bounds; we time each cell across
-    ``sizes`` and report the fitted log-log slope.  Expectation: the
+    ``sizes`` and report the fitted log-log slope.  A cell's time is the
+    min over 3 calls, taken in rounds across the sizes so a slow spell on
+    a shared machine lands on every size.  Expectation: the
     all-pairs column fits ~2 (quadratic), bounds-checking in between, the
     indexed strategy near 1 (n log |G|)."""
     if quick:
@@ -319,15 +321,16 @@ def table1(
             # quadratic baseline: cap its largest size so the sweep stays
             # bounded (the slope needs only the smaller points anyway)
             strat_sizes = tuple(s for s in sizes if s <= 2000)
+        point_sets = [uniform_points(n) for n in strat_sizes]
         for clause in _ALL_OVERLAPS:
-            times: List[float] = []
-            for n in strat_sizes:
-                points = uniform_points(n)
-                secs, _ = time_call(
-                    lambda: sgb_all(points, eps, metric, clause, strategy,
-                                    tiebreak="first")
-                )
-                times.append(secs)
+            times = [float("inf")] * len(strat_sizes)
+            for _ in range(3):
+                for i, points in enumerate(point_sets):
+                    secs, _ = time_call(
+                        lambda: sgb_all(points, eps, metric, clause,
+                                        strategy, tiebreak="first")
+                    )
+                    times[i] = min(times[i], secs)
             row = {"strategy": strategy, "clause": clause,
                    "slope": fit_loglog_slope(strat_sizes, times)}
             for n, t in zip(strat_sizes, times):

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.distance import Metric, resolve_metric
 from repro.errors import InvalidParameterError
-from repro.geometry.rectangle import Rect
+from repro.geometry.rectangle import Rect, probe_box
 from repro.index.rtree import RTree
 
 Point = Tuple[float, ...]
@@ -60,11 +60,8 @@ def dbscan(
     )
 
     def region_query(i: int) -> List[int]:
-        window = Rect.eps_box(pts[i], eps)
-        hits = index.search_with_rects(window)
-        if m.name == "linf":
-            return [pid for _, pid in hits]
         p = pts[i]
+        hits = index.search_with_rects(probe_box(p, eps))
         return [pid for rect, pid in hits if m.within(p, rect.lo, eps)]
 
     labels = [_UNVISITED] * n

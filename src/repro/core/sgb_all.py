@@ -44,7 +44,7 @@ from repro.core.distance import (
 from repro.core.groups import Group, GroupRegistry
 from repro.core.result import ELIMINATED, GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
-from repro.geometry.rectangle import Rect
+from repro.geometry.rectangle import Rect, probe_box
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 from repro.obs.metrics import MetricBag
@@ -180,7 +180,7 @@ class BoundsCheckingStrategy(_StrategyBase):
             return self._scan_2d(groups, point, need_overlap)
         candidates: List[Group] = []
         overlaps: List[Group] = []
-        window = Rect.eps_box(point, self.eps) if need_overlap else None
+        window = probe_box(point, self.eps) if need_overlap else None
         for g in groups:
             if g.accepts(point):
                 candidates.append(g)
@@ -201,9 +201,10 @@ class BoundsCheckingStrategy(_StrategyBase):
         candidates: List[Group] = []
         overlaps: List[Group] = []
         x, y = point
-        eps = self.eps
-        wlo0, wlo1 = x - eps, y - eps
-        whi0, whi1 = x + eps, y + eps
+        if need_overlap:
+            window = probe_box(point, self.eps)
+            wlo0, wlo1 = window.lo
+            whi0, whi1 = window.hi
         exact = self.metric.name == "linf"
         for g in groups:
             rect = g.eps_rect
@@ -251,8 +252,7 @@ class IndexedStrategy(_StrategyBase):
     ) -> Tuple[List[Group], List[Group]]:
         candidates: List[Group] = []
         overlaps: List[Group] = []
-        window = Rect.eps_box(point, self.eps)
-        hits = self._rtree.search(window)
+        hits = self._rtree.search(probe_box(point, self.eps))
         if self.metrics is not None:
             self.metrics.incr("index_probes")
             self.metrics.incr("candidates", len(hits))
@@ -317,7 +317,7 @@ class GridStrategy(BoundsCheckingStrategy):
         self, point: Point, need_overlap: bool
     ) -> Tuple[List[Group], List[Group]]:
         radius = 2.0 * self.eps if need_overlap else self.eps
-        gids = self._grid.items_in_cell_range(_probe_box(point, radius))
+        gids = self._grid.items_in_cell_range(probe_box(point, radius))
         gids.sort()
         if self.metrics is not None:
             self.metrics.incr("index_probes")
@@ -340,25 +340,6 @@ class GridStrategy(BoundsCheckingStrategy):
 
     def _index_delete(self, group: Group, old_mbr: Optional[Rect]) -> None:
         self._grid.delete(self._anchors.pop(group.gid), group.gid)
-
-
-def _probe_box(point: Point, radius: float) -> Rect:
-    """The L∞ box of ``radius`` around ``point``, widened by a relative
-    1e-12 so rounding in ``v ± radius`` cannot drop the cell of an anchor
-    whose rounded distance is exactly ``radius`` (e.g. ``-1e-20`` from
-    ``0.5`` with radius ``0.5``: the box edge rounds to ``0.0``)."""
-    if len(point) == 2:
-        x, y = point
-        rx = radius + (abs(x) + radius) * 1e-12
-        ry = radius + (abs(y) + radius) * 1e-12
-        return Rect._make((x - rx, y - ry), (x + rx, y + ry))
-    lo: List[float] = []
-    hi: List[float] = []
-    for v in point:
-        r = radius + (abs(v) + radius) * 1e-12
-        lo.append(v - r)
-        hi.append(v + r)
-    return Rect._make(tuple(lo), tuple(hi))
 
 
 #: The built-in metrics, for which ``L∞ <= δ`` holds.

@@ -42,7 +42,7 @@ from repro.core.distance import Metric, resolve_metric
 from repro.core.result import GroupingResult
 from repro.dsu.union_find import UnionFind
 from repro.errors import DimensionMismatchError, InvalidParameterError
-from repro.geometry.rectangle import Rect
+from repro.geometry.rectangle import Rect, probe_box
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 from repro.obs.metrics import MetricBag
@@ -123,9 +123,9 @@ class NaiveAnyStrategy(_AnyStrategyBase):
 class RTreeAnyStrategy(_AnyStrategyBase):
     """Procedure 8: R-tree (``Points_IX``) over processed points.
 
-    The ε-box window query is exact for L∞ (the box *is* the L∞ ball); for
-    other metrics the returned set is verified with the actual distance
-    (``VerifyPoints`` in the paper).
+    The ε-box window (widened by :func:`~repro.geometry.probe_box`) is
+    verified by the exact L∞ box test and, for other metrics, the actual
+    distance (``VerifyPoints`` in the paper).
     """
 
     name = "index"
@@ -136,26 +136,19 @@ class RTreeAnyStrategy(_AnyStrategyBase):
         self._store = kernels.make_point_store()
 
     def neighbors(self, point: Point) -> List[int]:
-        window = Rect.eps_box(point, self.eps)
-        hits = self._rtree.search_with_rects(window)
-        if self.metrics is not None:
-            self.metrics.incr("index_probes")
-            self.metrics.incr("candidates", len(hits))
-        if self.metric.name == "linf":
-            return [pid for _, pid in hits]
-        # VerifyPoints: one bulk predicate pass over the leaf hits.
-        if self.metrics is not None:
-            t0 = time.perf_counter()
-            result = self._store.query_ids(
-                [pid for _, pid in hits], point, self.eps, self.metric
-            )
-            self.metrics.observe(
-                "distance_batch_latency", time.perf_counter() - t0
-            )
-            return result
-        return self._store.query_ids(
-            [pid for _, pid in hits], point, self.eps, self.metric
+        hits = self._rtree.search(probe_box(point, self.eps))
+        bag = self.metrics
+        t0 = time.perf_counter() if bag is not None else 0.0
+        # VerifyPoints: one bulk pass over the leaf hits.
+        result, _ = self._store.query_ids_eps_box(
+            hits, point, self.eps, self.metric,
+            count=hasattr(self.metric, "calls"),
         )
+        if bag is not None:
+            bag.observe("distance_batch_latency", time.perf_counter() - t0)
+            bag.incr("index_probes")
+            bag.incr("candidates", len(hits))
+        return result
 
     def insert(self, point_id: int, point: Point) -> None:
         self._rtree.insert(Rect.from_point(point), point_id)
@@ -177,10 +170,9 @@ class GridAnyStrategy(_AnyStrategyBase):
         self._store = kernels.make_point_store()
 
     def neighbors(self, point: Point) -> List[int]:
-        window = Rect.eps_box(point, self.eps)
         # Gather candidate ids from the cell neighbourhood, then run the
         # window-containment + distance verification as one bulk pass.
-        ids = self._grid.items_in_cell_range(window)
+        ids = self._grid.items_in_cell_range(probe_box(point, self.eps))
         # The box tally feeds the candidates counter and the CountingMetric
         # charge; skip it entirely when neither collector is attached.
         count = self.metrics is not None or hasattr(self.metric, "calls")
@@ -302,25 +294,21 @@ class STRBulkAnyStrategy(_BatchAnyStrategyBase):
             store.append(p)
         eps = self.eps
         metric = self.metric
-        linf = metric.name == "linf"
         bag = self.metrics
+        count = hasattr(metric, "calls")
         for pid in sort_indices(pts):
             point = pts[pid]
-            hits = tree.search(Rect.eps_box(point, eps))
+            hits = tree.search(probe_box(point, eps))
+            t0 = time.perf_counter() if bag is not None else 0.0
+            verified, _ = store.query_ids_eps_box(
+                hits, point, eps, metric, count=count
+            )
             if bag is not None:
-                bag.incr("index_probes")
-                bag.incr("candidates", len(hits))
-            if linf:
-                yield pid, [i for i in hits if i != pid]
-                continue
-            if bag is not None:
-                t0 = time.perf_counter()
-                verified = store.query_ids(hits, point, eps, metric)
                 bag.observe(
                     "distance_batch_latency", time.perf_counter() - t0
                 )
-            else:
-                verified = store.query_ids(hits, point, eps, metric)
+                bag.incr("index_probes")
+                bag.incr("candidates", len(hits))
             yield pid, [i for i in verified if i != pid]
 
 
@@ -359,21 +347,17 @@ class HilbertGridAnyStrategy(_BatchAnyStrategyBase):
         count = bag is not None or hasattr(metric, "calls")
         for pid in sort_indices(pts):
             point = pts[pid]
-            ids = grid.items_in_cell_range(Rect.eps_box(point, eps))
+            ids = grid.items_in_cell_range(probe_box(point, eps))
+            t0 = time.perf_counter() if bag is not None else 0.0
+            result, n_window = store.query_ids_eps_box(
+                ids, point, eps, metric, count=count
+            )
             if bag is not None:
-                t0 = time.perf_counter()
-                result, n_window = store.query_ids_eps_box(
-                    ids, point, eps, metric, count=count
-                )
                 bag.observe(
                     "distance_batch_latency", time.perf_counter() - t0
                 )
                 bag.incr("index_probes")
                 bag.incr("candidates", n_window)
-            else:
-                result, _ = store.query_ids_eps_box(
-                    ids, point, eps, metric, count=count
-                )
             yield pid, [i for i in result if i != pid]
 
 
@@ -484,17 +468,13 @@ class SGBAnyOperator:
         pid = len(self._points)
         self._points.append(pt)
         self._uf.add(pid)
-        bag = self.metrics
-        if bag is not None:
-            bag.incr("points")
-            bag.incr("groups_created")
         if self._strategy.batch:
             # Deferred strategy: probes run once, at finalize, over the
             # complete point set (components are order-independent).
             self._strategy.insert(pid, pt)
             return
+        bag = self.metrics
         if bag is not None:
-            before = self._uf.n_components
             t0 = time.perf_counter()
             neighbors = self._strategy.neighbors(pt)
             bag.observe("probe_latency", time.perf_counter() - t0)
@@ -502,8 +482,6 @@ class SGBAnyOperator:
             neighbors = self._strategy.neighbors(pt)
         for nb in neighbors:
             self._uf.union(pid, nb)
-        if bag is not None:
-            bag.incr("groups_merged", before - self._uf.n_components)
         self._strategy.insert(pid, pt)
 
     def add_many(self, points: Iterable[Sequence[float]]) -> "SGBAnyOperator":
@@ -521,10 +499,17 @@ class SGBAnyOperator:
         self._finalized = True
         if self._strategy.batch and self._points:
             self._run_batch_probe()
-        if self.metrics is not None:
-            self.metrics.incr(
-                "distance_computations", getattr(self.metric, "calls", 0)
-            )
+        bag = self.metrics
+        if bag is not None:
+            n = len(self._points)
+            if n:
+                # Every point starts a singleton group and every effective
+                # union merges two, so the group counters are tallied once
+                # here rather than per point.
+                bag.incr("points", n)
+                bag.incr("groups_created", n)
+                bag.incr("groups_merged", n - self._uf.n_components)
+            bag.incr("distance_computations", getattr(self.metric, "calls", 0))
         with maybe_span(self.tracer, "finalize",
                         points=len(self._points)) as sp:
             labels: List[int] = []
@@ -544,12 +529,9 @@ class SGBAnyOperator:
         with maybe_span(self.tracer, "probe_batch",
                         strategy=self.strategy_name,
                         points=len(self._points)):
-            if bag is not None:
-                before = uf.n_components
-                t0 = time.perf_counter()
+            t0 = time.perf_counter()
             for pid, neighbors in self._strategy.batch_neighbors():
                 for nb in neighbors:
                     uf.union(pid, nb)
             if bag is not None:
                 bag.observe("probe_latency", time.perf_counter() - t0)
-                bag.incr("groups_merged", before - uf.n_components)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cancel import CancelToken
@@ -26,10 +27,18 @@ from repro.engine.executor.sgb import SGBConfig
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 from repro.errors import CatalogError, InvalidParameterError, PlanningError
+from repro.obs.explain import (
+    AnalyzeResult,
+    attach,
+    detach,
+    memory_tracking,
+    plan_metrics,
+    render_analyze,
+)
 from repro.obs.metrics import MetricBag
 from repro.obs.profile import SamplingProfiler
 from repro.obs.querylog import QueryLog
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, maybe_span
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
@@ -495,53 +504,24 @@ class Database:
             return plan.explain()
 
     def explain_analyze(self, sql: str) -> str:
-        """EXPLAIN with actual row counts and per-operator wall time.
-
-        The plan is executed exactly *once*: :func:`repro.obs.attach`
-        instruments every node, a single pass over the root drives the
-        whole tree, and each node reports its rows out, loop count, and
-        inclusive wall time (children run inside the parent's ``next()``,
-        like the inclusive times in PostgreSQL's EXPLAIN ANALYZE) plus any
-        SGB counters its operators recorded.
-        """
+        """The ``EXPLAIN ANALYZE`` text of a SELECT (see :meth:`analyze`)."""
         return self.analyze(sql).plan_text
 
-    def analyze(self, sql: str):
-        """Run a SELECT instrumented and return an
-        :class:`~repro.obs.explain.AnalyzeResult` (rows + plan text +
-        per-node metrics tree for ``metrics_json()``)."""
-        from repro.obs import (
-            AnalyzeResult,
-            attach,
-            detach,
-            plan_metrics,
-            render_analyze,
-        )
+    def analyze(self, sql: str, *, memory: bool = False) -> AnalyzeResult:
+        """Run a SELECT once, instrumented, and return an
+        :class:`~repro.obs.explain.AnalyzeResult`: rows, the EXPLAIN
+        ANALYZE text (per node: rows out, loops, inclusive wall time like
+        PostgreSQL's, SGB counters) and the per-node metrics tree for
+        ``metrics_json()``.
 
+        Memory is opt-in: ``memory=True`` (``EXPLAIN (ANALYZE, MEMORY)``)
+        adds per-node ``mem_peak`` by running the query under
+        tracemalloc, which multiplies its time several-fold."""
         stmts = parse(sql)
         if len(stmts) != 1 or not isinstance(stmts[0], (ast.Select, ast.Union)):
             raise PlanningError("explain_analyze() expects a single SELECT")
-        from repro.obs.explain import memory_tracking
-
         with self._lock:
-            plan = self._planner().plan_query(stmts[0])
-            node_metrics = attach(plan, tracer=self.sgb_config.trace,
-                                  memory=True)
-            t0 = time.perf_counter()
-            try:
-                with memory_tracking():
-                    rows = list(plan)
-                latency_s = time.perf_counter() - t0
-                text = render_analyze(plan)
-                metrics = plan_metrics(plan)
-                self._log_query(sql, plan, len(rows), latency_s,
-                                node_metrics)
-            finally:
-                with self._metrics_lock:
-                    for nm in node_metrics:
-                        self._metrics.merge(nm.bag)
-                detach(plan)
-        return AnalyzeResult(plan.schema.names(), rows, text, metrics)
+            return self._analyze_query(stmts[0], sql, memory)
 
     # ------------------------------------------------------------------
     def _planner(self) -> Planner:
@@ -570,38 +550,60 @@ class Database:
 
         With tracing off this is the plain (near-zero-overhead) path:
         no per-node instrumentation, just a latency clock read for the
-        query log.  With it on, the whole execution runs inside a root
-        ``query`` span, every plan node is attached with both a metric
-        bag and the tracer, and the node bags fold into the database's
-        cumulative metrics.
+        query log.  With it on, the query takes the instrumented path
+        (see :meth:`_run_instrumented`).
         """
         with self._metrics_lock:
             self._queries += 1
         if cancel is not None:
             attach_cancel(plan, cancel)
-        tracer = self.sgb_config.trace
-        if tracer is None:
-            t0 = time.perf_counter()
-            rows = plan.rows()
-            self._log_query(sql, plan, len(rows),
-                            time.perf_counter() - t0)
-            return QueryResult(plan.schema.names(), rows)
-        from repro.obs import attach, detach
-
-        node_metrics = attach(plan, tracer=tracer)
+        if self.sgb_config.trace is not None:
+            analyzed = self._run_instrumented(plan, sql)
+            return QueryResult(analyzed.columns, analyzed.rows)
         t0 = time.perf_counter()
+        rows = plan.rows()
+        self._log_query(sql, plan, len(rows), time.perf_counter() - t0)
+        return QueryResult(plan.schema.names(), rows)
+
+    def _analyze_query(self, query, sql: str, memory: bool,
+                       cancel: Optional[CancelToken] = None) -> AnalyzeResult:
+        """Plan ``query`` (timed for the footer) and run it instrumented."""
+        t0 = time.perf_counter()
+        plan = self._planner().plan_query(query)
+        planning_s = time.perf_counter() - t0
+        if cancel is not None:
+            attach_cancel(plan, cancel)
+        return self._run_instrumented(plan, sql, memory=memory,
+                                      planning_s=planning_s)
+
+    def _run_instrumented(self, plan, sql: str, *, memory: bool = False,
+                          planning_s: Optional[float] = None
+                          ) -> AnalyzeResult:
+        """The one instrumented run behind ``analyze()``, SQL ``EXPLAIN
+        ANALYZE`` and traced SELECTs: attach → run (in a root ``query``
+        span when tracing; under tracemalloc only with ``memory``) → log
+        → render → fold the node bags into :meth:`metrics_snapshot`, even
+        when the run fails → detach."""
+        tracer = self.sgb_config.trace
+        node_metrics = attach(plan, tracer=tracer, memory=memory)
         try:
-            with tracer.span("query", root=plan.describe()) as sp:
-                rows = list(plan)
-                sp.set(rows=len(rows))
-            self._log_query(sql, plan, len(rows),
-                            time.perf_counter() - t0, node_metrics)
+            with memory_tracking() if memory else nullcontext():
+                t0 = time.perf_counter()
+                with maybe_span(tracer, "query", root=plan.describe()) as sp:
+                    rows = list(plan)
+                    sp.set(rows=len(rows))
+                execution_s = time.perf_counter() - t0
+            self._log_query(sql, plan, len(rows), execution_s, node_metrics)
+            return AnalyzeResult(
+                plan.schema.names(), rows,
+                render_analyze(plan, planning_s, execution_s),
+                plan_metrics(plan),
+            )
         finally:
             with self._metrics_lock:
                 for nm in node_metrics:
                     self._metrics.merge(nm.bag)
             detach(plan)
-        return QueryResult(plan.schema.names(), rows)
 
     def _execute_statement(self, stmt: Any,
                            cancel: Optional[CancelToken] = None,
@@ -632,7 +634,7 @@ class Database:
         if isinstance(stmt, ast.Insert):
             return self._execute_insert(stmt)
         if isinstance(stmt, ast.Explain):
-            return self._execute_explain(stmt)
+            return self._execute_explain(stmt, cancel, sql)
         if isinstance(stmt, ast.Analyze):
             self.update_statistics(stmt.table)
             return StatementResult("ANALYZE")
@@ -652,23 +654,15 @@ class Database:
                 for t in self.catalog:
                     t.analyze()
 
-    def _execute_explain(self, stmt: ast.Explain) -> QueryResult:
+    def _execute_explain(self, stmt: ast.Explain,
+                         cancel: Optional[CancelToken] = None,
+                         sql: str = "") -> QueryResult:
         """EXPLAIN [ANALYZE] as a statement: one plan line per result row."""
-        plan = self._planner().plan_query(stmt.query)
         if stmt.analyze:
-            from repro.obs import attach, detach, render_analyze
-            from repro.obs.explain import memory_tracking
-
-            attach(plan, memory=True)
-            try:
-                with memory_tracking():
-                    for _ in plan:
-                        pass
-                text = render_analyze(plan)
-            finally:
-                detach(plan)
+            text = self._analyze_query(stmt.query, sql, stmt.memory,
+                                       cancel).plan_text
         else:
-            text = plan.explain()
+            text = self._planner().plan_query(stmt.query).explain()
         return QueryResult(["QUERY PLAN"], [(line,) for line in text.splitlines()])
 
     def _execute_insert(self, stmt: ast.Insert) -> StatementResult:

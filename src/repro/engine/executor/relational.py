@@ -298,7 +298,7 @@ class SimilarityJoin(PhysicalOperator):
 
     def _execute(self) -> Iterator[tuple]:
         from repro.core.distance import resolve_metric
-        from repro.geometry.rectangle import Rect
+        from repro.geometry.rectangle import Rect, probe_box
         from repro.index.rtree import RTree
 
         metric = resolve_metric(self.metric_name)
@@ -314,16 +314,14 @@ class SimilarityJoin(PhysicalOperator):
                          len(right_rows))
             right_rows.append(rrow)
         residual = self._residual
-        exact_box = metric.name == "linf"
         for lrow in self.left:
             x = self._lcoord_fns[0](lrow)
             y = self._lcoord_fns[1](lrow)
             if x is None or y is None:
                 continue
             p = (float(x), float(y))
-            window = Rect.eps_box(p, eps)
-            for rect, rid in index.search_with_rects(window):
-                if not exact_box and not metric.within(p, rect.lo, eps):
+            for rect, rid in index.search_with_rects(probe_box(p, eps)):
+                if not metric.within(p, rect.lo, eps):
                     continue
                 combined = lrow + right_rows[rid]
                 if residual is None or residual(combined) is True:

@@ -237,8 +237,9 @@ class SGBAggregate(PhysicalOperator):
                 partition_order.append(pkey)
             bucket[0].append(point)
             bucket[1].append(row)
-            if bag is not None:
-                bag.incr("rows_spooled")
+        if bag is not None and partitions:
+            bag.incr("rows_spooled",
+                     sum(len(points) for points, _ in partitions.values()))
         return partitions, partition_order
 
     def _labels_parallel(

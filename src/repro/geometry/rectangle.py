@@ -74,8 +74,8 @@ class Rect:
     def eps_box(cls, p: Sequence[float], eps: float) -> "Rect":
         """The ε-box around ``p``: side ``2ε`` centred at ``p``.
 
-        For a singleton group this *is* its ε-All rectangle (paper Fig. 5c),
-        and it is also the window used to query the on-the-fly index.
+        For a singleton group this *is* its ε-All rectangle (paper Fig. 5c).
+        Index probes use the widened :func:`probe_box` instead.
         """
         if len(p) == 2:
             x, y = float(p[0]), float(p[1])
@@ -201,6 +201,31 @@ class Rect:
 
     def __repr__(self) -> str:
         return f"Rect(lo={self.lo}, hi={self.hi})"
+
+
+def probe_box(point: Sequence[float], radius: float) -> Rect:
+    """The window of an ε probe: the L∞ box of ``radius`` around ``point``,
+    widened by a relative 1e-12.
+
+    Rounding in ``v ± radius`` can otherwise drop a point whose rounded
+    distance is exactly ``radius`` (``-1e-20`` from ``0.5`` with radius
+    ``0.5``: the lower edge rounds to ``0.0``).  The window may therefore
+    hold points slightly beyond ``radius``; every caller refines its hits
+    by exact distance.  The ε-All rectangle (:func:`eps_all_rect`) is an
+    acceptance test, not a window, and stays exact.
+    """
+    if len(point) == 2:
+        x, y = point
+        rx = radius + (abs(x) + radius) * 1e-12
+        ry = radius + (abs(y) + radius) * 1e-12
+        return Rect._make((x - rx, y - ry), (x + rx, y + ry))
+    lo: List[float] = []
+    hi: List[float] = []
+    for v in point:
+        r = radius + (abs(v) + radius) * 1e-12
+        lo.append(v - r)
+        hi.append(v + r)
+    return Rect._make(tuple(lo), tuple(hi))
 
 
 def eps_all_rect(points: Iterable[Sequence[float]], eps: float) -> Optional[Rect]:

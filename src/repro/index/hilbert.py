@@ -107,11 +107,12 @@ def _lattice_cells(points: Sequence[Point], order: int) -> List[Tuple[int, ...]]
     lo = [min(p[d] for p in points) for d in range(dim)]
     hi = [max(p[d] for p in points) for d in range(dim)]
     side = (1 << order) - 1
-    scales = [
-        (side / (h - l)) if h > l else 0.0 for l, h in zip(lo, hi)
-    ]
+    spans = [h - l for l, h in zip(lo, hi)]
+    # Divide by the span, not multiply by ``side / span``: for a
+    # subnormal span that quotient overflows to inf.
     return [
-        tuple(int((v - l) * s) for v, l, s in zip(p, lo, scales))
+        tuple(int((v - l) / w * side) if w > 0 else 0
+              for v, l, w in zip(p, lo, spans))
         for p in points
     ]
 

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels._protocols import Coords, MetricLike, Point
+from repro.kernels.python_backend import eps_box_filter
 
 name = "numpy"
 
@@ -310,13 +311,10 @@ class PointStore:
         only when ``count`` is requested.
         """
         k = len(ids)
-        if k == 0:
-            return [], 0
-        if k < _EPS_BOX_FALLBACK:
-            return self._eps_box_loop(ids, q, eps, metric)
+        if k < _EPS_BOX_FALLBACK or _metric_kind(metric)[0] == "other":
+            # The python backend's loop, so both backends agree bit for bit.
+            return eps_box_filter(self._coords.tuples, ids, q, eps, metric)
         kind, p = _metric_kind(metric)
-        if kind == "other":
-            return self._eps_box_loop(ids, q, eps, metric)
         ids_a = np.fromiter(ids, dtype=np.intp, count=k)
         diff = self._coords.view()[ids_a] - np.asarray(q, dtype=np.float64)
         if kind == "linf":
@@ -331,34 +329,6 @@ class PointStore:
             _charge(metric, n_window)
             return ids_a[mask].tolist(), n_window
         return ids_a[mask].tolist(), 0
-
-    def _eps_box_loop(self, ids: Sequence[int], q: Coords, eps: float,
-                      metric: MetricLike) -> Tuple[List[int], int]:
-        """Pure-python fallback, byte-identical to the python backend."""
-        tuples = self._coords.tuples
-        dim2 = len(q) == 2
-        if dim2:
-            lo0, lo1 = q[0] - eps, q[1] - eps
-            hi0, hi1 = q[0] + eps, q[1] + eps
-        else:
-            lo = [v - eps for v in q]
-            hi = [v + eps for v in q]
-        in_window: List[int] = []
-        for i in ids:
-            pt = tuples[i]
-            if dim2:
-                ok = lo0 <= pt[0] <= hi0 and lo1 <= pt[1] <= hi1
-            else:
-                ok = all(l <= v <= h for v, l, h in zip(pt, lo, hi))
-            if ok:
-                in_window.append(i)
-        if metric.name == "linf":
-            return in_window, len(in_window)
-        within = metric.within
-        return (
-            [i for i in in_window if within(tuples[i], q, eps)],
-            len(in_window),
-        )
 
 
 # ----------------------------------------------------------------------

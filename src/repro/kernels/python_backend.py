@@ -144,39 +144,41 @@ class PointStore:
         self, ids: Iterable[int], q: Coords, eps: float,
         metric: MetricLike, count: bool = True,
     ) -> Tuple[List[int], int]:
-        """ε-box-filter ``ids`` around ``q`` then verify with the metric.
+        """ε-box-filter ``ids`` around ``q`` then verify with the metric
+        (see :func:`eps_box_filter`).  ``count`` is a hint for backends
+        whose counting costs extra; here the box tally is a free
+        byproduct."""
+        return eps_box_filter(self._points, ids, q, eps, metric)
 
-        Returns ``(matching ids, number that passed the box test)``.
-        The box test is exact for L∞ (the ε-box *is* the ball), so no
-        metric evaluation — hence no ``CountingMetric`` charge — happens
-        in that case, mirroring the pre-kernel grid strategy.  ``count``
-        is a hint for backends whose counting costs extra; here the box
-        tally is a free byproduct.
-        """
-        points = self._points
-        dim2 = len(q) == 2
-        if dim2:
-            lo0, lo1 = q[0] - eps, q[1] - eps
-            hi0, hi1 = q[0] + eps, q[1] + eps
-        else:
-            lo = [v - eps for v in q]
-            hi = [v + eps for v in q]
-        in_window: List[int] = []
+
+def eps_box_filter(points: Sequence[Coords], ids: Iterable[int], q: Coords,
+                   eps: float, metric: MetricLike) -> Tuple[List[int], int]:
+    """The ``ids`` whose point is within ``eps`` of ``q``, and how many
+    passed the box test.
+
+    The box test compares coordinate differences, ``|p_i - q_i| <= eps``,
+    so it *is* the L∞ predicate, bit for bit, whatever window gathered
+    ``ids``; no metric evaluation — hence no ``CountingMetric`` charge —
+    happens for L∞.
+    """
+    in_window: List[int] = []
+    if len(q) == 2:
+        q0, q1 = q
         for i in ids:
             p = points[i]
-            if dim2:
-                ok = lo0 <= p[0] <= hi0 and lo1 <= p[1] <= hi1
-            else:
-                ok = all(l <= v <= h for v, l, h in zip(p, lo, hi))
-            if ok:
+            if -eps <= p[0] - q0 <= eps and -eps <= p[1] - q1 <= eps:
                 in_window.append(i)
-        if metric.name == "linf":
-            return in_window, len(in_window)
-        within = metric.within
-        return (
-            [i for i in in_window if within(points[i], q, eps)],
-            len(in_window),
-        )
+    else:
+        for i in ids:
+            if all(-eps <= v - c <= eps for v, c in zip(points[i], q)):
+                in_window.append(i)
+    if metric.name == "linf":
+        return in_window, len(in_window)
+    within = metric.within
+    return (
+        [i for i in in_window if within(points[i], q, eps)],
+        len(in_window),
+    )
 
 
 def make_point_store() -> PointStore:

@@ -71,13 +71,15 @@ class NodeMetrics:
 
         The accumulated time is *inclusive* of the node's children (they
         run inside its ``next()``), mirroring PostgreSQL.  Time the
-        consumer spends between rows is not charged to the node.
+        consumer spends between rows is not charged to the node.  Rows
+        and time accumulate in locals and land on the node once, in the
+        ``finally``.
 
         Close/exception-safe: if the producer raises mid-``next()`` or
         the consumer stops early (LIMIT closing the generator, an error
         in a downstream node), the ``finally`` still charges the
-        in-flight ``next()`` to ``time_s`` instead of silently dropping
-        it.
+        in-flight ``next()`` (``t0`` is None only while a row is out with
+        the consumer) instead of silently dropping it.
 
         With memory tracking on, traced bytes are sampled at the same
         row boundaries the clock reads at: a blocking node's spool is
@@ -87,34 +89,28 @@ class NodeMetrics:
         self.loops += 1
         clock = time.perf_counter
         track_mem = self.track_memory and tracemalloc.is_tracing()
-        if track_mem:
-            mem_base = tracemalloc.get_traced_memory()[0]
-            if self.mem_peak_bytes is None:
-                self.mem_peak_bytes = 0
-        t0 = clock()
-        charged = False  # is the segment since t0 already in time_s?
+        traced = tracemalloc.get_traced_memory
+        mem_base = traced()[0] if track_mem else 0
+        peak = self.mem_peak_bytes or 0
+        rows = 0
+        spent = 0.0
+        t0: Optional[float] = clock()
         try:
             for row in it:
-                self.time_s += clock() - t0
-                charged = True
-                self.rows_out += 1
+                spent += clock() - t0
+                rows += 1
                 if track_mem:
-                    grown = tracemalloc.get_traced_memory()[0] - mem_base
-                    if grown > self.mem_peak_bytes:
-                        self.mem_peak_bytes = grown
+                    peak = max(peak, traced()[0] - mem_base)
+                t0 = None
                 yield row
                 t0 = clock()
-                charged = False
-            # Exhaustion: charge the final next() that raised StopIteration.
-            self.time_s += clock() - t0
-            charged = True
         finally:
-            if not charged:
-                self.time_s += clock() - t0
+            if t0 is not None:
+                spent += clock() - t0
+            self.time_s += spent
+            self.rows_out += rows
             if track_mem:
-                grown = tracemalloc.get_traced_memory()[0] - mem_base
-                if grown > self.mem_peak_bytes:
-                    self.mem_peak_bytes = grown
+                self.mem_peak_bytes = max(peak, traced()[0] - mem_base)
 
     def derived_ratios(self) -> Dict[str, float]:
         """Candidate/refinement ratios from the node's SGB counters.
@@ -188,8 +184,15 @@ def detach(plan) -> None:
     walk(plan)
 
 
-def render_analyze(plan) -> str:
-    """Format an executed, instrumented plan like EXPLAIN ANALYZE output."""
+def render_analyze(plan, planning_s: Optional[float] = None,
+                   execution_s: Optional[float] = None) -> str:
+    """Format an executed, instrumented plan like EXPLAIN ANALYZE output.
+
+    Given ``planning_s``/``execution_s``, PostgreSQL-style ``Planning
+    Time`` / ``Execution Time`` footer lines follow the node lines; a plan
+    run with memory sampling adds a note that its times include the
+    tracemalloc overhead.
+    """
     lines: List[str] = []
 
     def walk(node, indent: int) -> None:
@@ -224,6 +227,14 @@ def render_analyze(plan) -> str:
             walk(child, indent + 1)
 
     walk(plan, 0)
+    if planning_s is not None:
+        lines.append(f"Planning Time: {planning_s * 1000.0:.3f} ms")
+    if execution_s is not None:
+        lines.append(f"Execution Time: {execution_s * 1000.0:.3f} ms")
+    root = getattr(plan, "_obs", None)
+    if root is not None and root.mem_peak_bytes is not None:
+        lines.append("Note: MEMORY samples tracemalloc; the times above "
+                     "include its overhead")
     return "\n".join(lines)
 
 

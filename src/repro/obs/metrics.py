@@ -104,14 +104,18 @@ class MetricBag:
 
     # -- counters ----------------------------------------------------------
     def incr(self, name: str, n: int = 1) -> None:
-        if name.endswith("_s"):
+        counters = self.counters
+        if name in counters:
+            counters[name] += n
+        elif name.endswith("_s"):
             # ``as_dict()`` suffixes timings with ``_s``; a counter named
             # ``foo_s`` would silently collide with the ``foo`` timing.
             raise ValueError(
                 f"counter name {name!r} ends with '_s', which is reserved "
                 f"for timing keys in as_dict()"
             )
-        self.counters[name] = self.counters.get(name, 0) + n
+        else:
+            counters[name] = n
 
     def get(self, name: str, default: int = 0) -> int:
         return self.counters.get(name, default)

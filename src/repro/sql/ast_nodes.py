@@ -733,11 +733,13 @@ class Insert:
 
 
 class Explain:
-    """``EXPLAIN [ANALYZE] <query>`` — plan (and optionally run) a query."""
+    """``EXPLAIN [ANALYZE] <query>`` — plan (and optionally run) a query;
+    ``memory`` (``EXPLAIN (ANALYZE, MEMORY)``) adds per-node peaks."""
 
-    def __init__(self, query, analyze: bool = False):
+    def __init__(self, query, analyze: bool = False, memory: bool = False):
         self.query = query
         self.analyze = analyze
+        self.memory = memory
 
 
 class Analyze:

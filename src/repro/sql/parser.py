@@ -17,7 +17,7 @@ plus the Table-2 variants ``DISTANCE-ALL/-ANY … USING LONE/LTWO`` and the
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Union
+from typing import Any, List, Optional, Set, Union
 
 from repro.errors import ParseError
 from repro.sql import ast_nodes as ast
@@ -161,11 +161,23 @@ class Parser:
         return ast.Analyze(table)
 
     def _explain(self) -> ast.Explain:
+        """``EXPLAIN [ANALYZE] SELECT`` or ``EXPLAIN (option, ...) SELECT``
+        with options ANALYZE and MEMORY; MEMORY needs ANALYZE."""
         self._expect_ident("explain")
-        analyze = bool(self._accept_ident("analyze"))
+        options: Set[str] = set()
+        if self._accept_op("("):
+            options.add(self._expect_ident("analyze", "memory"))
+            while self._accept_op(","):
+                options.add(self._expect_ident("analyze", "memory"))
+            self._expect_op(")")
+        elif self._accept_ident("analyze"):
+            options.add("analyze")
+        if "memory" in options and "analyze" not in options:
+            raise ParseError("EXPLAIN option MEMORY requires ANALYZE")
         if not self._check_ident("select"):
             raise ParseError("EXPLAIN supports SELECT queries only")
-        return ast.Explain(self._select_expr(), analyze=analyze)
+        return ast.Explain(self._select_expr(), analyze="analyze" in options,
+                           memory="memory" in options)
 
     def _create_table(self) -> ast.CreateTable:
         self._expect_ident("create")

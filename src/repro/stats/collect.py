@@ -17,6 +17,7 @@ importable from :mod:`repro.engine.table` without a cycle.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -189,10 +190,10 @@ class TableStats:
 def _build_histogram(coords: Sequence[float],
                      buckets: int) -> DensityHistogram:
     lo, hi = min(coords), max(coords)
-    if hi <= lo:
+    scale = buckets / (hi - lo) if hi > lo else math.inf
+    if math.isinf(scale):  # one value, or a subnormal span: one bucket
         return DensityHistogram(lo, lo, [len(coords)])
     counts = [0] * buckets
-    scale = buckets / (hi - lo)
     top = buckets - 1
     for c in coords:
         i = int((c - lo) * scale)

@@ -3,8 +3,9 @@
 The streaming engine only ever asks one question: *which already-ingested
 points lie within ε of this new point?*  Both indexes answer it with the
 same filter-refine shape the batch operator uses (paper Procedure 8): an
-ε-box window query, exact for L∞ because the box *is* the L∞ ball, followed
-by exact verification under any other metric.  Verification runs as one
+ε-box window query (widened by :func:`~repro.geometry.probe_box`, so a
+pair at rounded distance exactly ε is never lost at the box edge), followed
+by exact verification under the metric.  Verification runs as one
 :func:`repro.kernels.pairwise_within` call over the gathered candidates —
 vectorized under the numpy backend — instead of a per-candidate python
 loop.
@@ -22,7 +23,7 @@ from typing import List, Tuple
 from repro import kernels
 from repro.core.distance import Metric
 from repro.errors import InvalidParameterError
-from repro.geometry.rectangle import Rect
+from repro.geometry.rectangle import Rect, probe_box
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 
@@ -64,9 +65,7 @@ class GridNeighborIndex(NeighborIndex):
         self._grid = GridIndex(cell_size=eps)
 
     def probe(self, point: Point) -> Tuple[int, List[int]]:
-        hits = self._grid.search_with_points(Rect.eps_box(point, self.eps))
-        if self.metric.name == "linf":
-            return len(hits), [pid for _, pid in hits]
+        hits = self._grid.search_with_points(probe_box(point, self.eps))
         mask = kernels.pairwise_within(
             [pt for pt, _ in hits], point, self.eps, self.metric
         )
@@ -90,9 +89,7 @@ class RTreeNeighborIndex(NeighborIndex):
         self._rtree = RTree(max_entries=max_entries)
 
     def probe(self, point: Point) -> Tuple[int, List[int]]:
-        hits = self._rtree.search_with_rects(Rect.eps_box(point, self.eps))
-        if self.metric.name == "linf":
-            return len(hits), [pid for _, pid in hits]
+        hits = self._rtree.search_with_rects(probe_box(point, self.eps))
         mask = kernels.pairwise_within(
             [rect.lo for rect, _ in hits], point, self.eps, self.metric
         )

@@ -14,6 +14,11 @@ def measure(samples):
         return sum(samples)
 
 
+def measure_if(samples, memory):
+    with memory_tracking() if memory else None:
+        return sum(samples)
+
+
 def run_tasks(tasks):
     with ThreadPoolExecutor(max_workers=2) as pool:
         return [pool.submit(str, t) for t in tasks]

@@ -91,6 +91,16 @@ class TestKnownConfigurations:
         assert res2.n_clusters == 0  # diagonal distance sqrt(2)
 
 
+    @pytest.mark.parametrize("metric", ["l2", "linf"])
+    def test_exact_eps_neighbors_found(self, metric):
+        # |0.5 - (-1e-20)| rounds to 0.5 = eps, yet 0.5 - 0.5 rounds to
+        # 0.0: an unwidened ε-box around the second point misses the first.
+        pts = [(-1e-20, 0.0), (0.5, 0.0), (5.0, -1e-20), (5.0, 0.5)]
+        res = dbscan(pts, eps=0.5, min_pts=2, metric=metric)
+        assert res.core_flags == [True] * 4
+        assert res.labels == [0, 0, 1, 1]
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("metric", ["l2", "linf"])

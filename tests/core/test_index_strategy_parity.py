@@ -25,6 +25,12 @@ ANY_STRATEGIES = [
 ALL_STRATEGIES = ["all-pairs", "bounds-checking", "index", "grid"]
 CLAUSES = ["join-any", "eliminate", "form-new-group"]
 
+#: Two pairs whose rounded distance is exactly ε = 0.5 (|0.5 - (-1e-20)|
+#: rounds to 0.5), along x and along y; yet ``0.5 - 0.5`` rounds to 0.0,
+#: so an unwidened ε-box around the second point of a pair misses the
+#: first.  Every strategy must keep each pair together: [0, 0, 1, 1].
+EXACT_EPS_POINTS = [(-1e-20, 0.0), (0.5, 0.0), (5.0, -1e-20), (5.0, 0.5)]
+
 #: (name, points, eps) — dense, sparse, and cluster-skewed ε-graphs,
 #: plus heavy duplicates (zero-spread k-d segments, stacked grid cells).
 WORKLOADS = [
@@ -32,6 +38,7 @@ WORKLOADS = [
     ("sparse", uniform_points(300, seed=2, span=100.0), 0.8),
     ("skewed", skewed_points(300, seed=3, span=40.0), 1.5),
     ("dups", [(float(i % 7), float(i % 5)) for i in range(200)], 1.0),
+    ("exact_eps", EXACT_EPS_POINTS, 0.5),
 ]
 
 BACKENDS = [
@@ -63,19 +70,42 @@ class TestAnyStrategyParity:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("workload", [w[0] for w in WORKLOADS])
+@pytest.mark.parametrize("metric", ["l2", "linf"])
 class TestAllStrategyParity:
-    def test_labels_bit_identical_across_strategies(self, backend, workload):
+    def test_labels_bit_identical_across_strategies(self, backend, workload,
+                                                    metric):
         points, eps = next(
             (pts, eps) for name, pts, eps in WORKLOADS if name == workload
         )
         with kernels.use_backend(backend):
             results = {
-                s: sgb_all(points, eps, "l2", strategy=s,
+                s: sgb_all(points, eps, metric, strategy=s,
                            tiebreak="first").labels
                 for s in ALL_STRATEGIES
             }
         baseline = results[ALL_STRATEGIES[0]]
-        assert all(r == baseline for r in results.values())
+        assert all(r == baseline for r in results.values()), results
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
+class TestExactEpsPairs:
+    """The widened probe window keeps exact-ε pairs in every strategy."""
+
+    def test_any_strategies(self, backend, metric):
+        with kernels.use_backend(backend):
+            for strategy in ANY_STRATEGIES:
+                labels = sgb_any(EXACT_EPS_POINTS, 0.5, metric,
+                                 strategy).labels
+                assert labels == [0, 0, 1, 1], strategy
+
+    def test_all_strategies(self, backend, metric):
+        with kernels.use_backend(backend):
+            for strategy in ALL_STRATEGIES:
+                for clause in CLAUSES:
+                    labels = sgb_all(EXACT_EPS_POINTS, 0.5, metric, clause,
+                                     strategy).labels
+                    assert labels == [0, 0, 1, 1], (strategy, clause)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -9,7 +9,7 @@ a property SGB-All deliberately does *not* have, but SGB-Any must.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import sgb_any
@@ -83,6 +83,8 @@ class TestOrderIndependence:
 class TestStrategyEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(points=points_strategy, eps=eps_strategy)
+    # A subnormal coordinate span (the Hilbert presort's lattice scale).
+    @example(points=[(0.0, 1.7585982767005806e-306), (0.0, 0.0)], eps=1.0)
     def test_all_strategies_agree(self, points, eps):
         results = [
             sgb_any(points, eps, "l2", s).partition() for s in STRATEGIES

@@ -99,6 +99,22 @@ class TestPlanAndSemantics:
         assert db.query("SELECT dist_linf(0, 0, 3, 4)").scalar() == 4.0
 
 
+    @pytest.mark.parametrize("metric", ["l2", "linf"])
+    def test_exact_eps_pair_joins_both_ways(self, metric):
+        # |0.5 - (-1e-20)| rounds to 0.5 = eps, yet 0.5 - 0.5 rounds to
+        # 0.0: an unwidened ε-box around (0.5, 0) misses (-1e-20, 0).
+        d = Database()
+        d.execute("CREATE TABLE a (x float, y float)")
+        d.execute("CREATE TABLE b (x float, y float)")
+        d.insert("a", [(0.5, 0.0)])
+        d.insert("b", [(-1e-20, 0.0)])
+        for tables in ("a, b", "b, a"):
+            assert d.query(
+                f"SELECT count(*) FROM {tables} "
+                f"WHERE dist_{metric}(a.x, a.y, b.x, b.y) <= 0.5"
+            ).scalar() == 1, tables
+
+
 class TestAgainstNestedLoopOracle:
     @settings(max_examples=30, deadline=None)
     @given(

@@ -1,6 +1,7 @@
 """EXPLAIN ANALYZE: SQL path, counter values, and off-by-default checks."""
 
 import json
+import re
 
 import pytest
 
@@ -58,6 +59,7 @@ class TestExplainAnalyzeSQL:
         text = "\n".join(row[0] for row in result.rows)
         assert "SimilarityGroupBy" in text
         assert "actual rows=" not in text
+        assert "Execution Time" not in text
 
     def test_explain_rejects_non_select(self, db):
         with pytest.raises(ParseError):
@@ -112,9 +114,11 @@ class TestAnalyzeCounters:
 class TestResourceAccounting:
     def test_analyze_reports_per_node_peak_memory(self, db):
         text = "\n".join(
-            row[0] for row in db.execute("EXPLAIN ANALYZE " + ANY_SQL).rows
+            row[0] for row in
+            db.execute("EXPLAIN (ANALYZE, MEMORY) " + ANY_SQL).rows
         )
         assert "mem_peak=" in text
+        assert "include its overhead" in text.splitlines()[-1]
         # Every node line carries a human unit, not raw byte counts.
         for line in text.splitlines():
             if "mem_peak=" in line:
@@ -122,7 +126,7 @@ class TestResourceAccounting:
                 assert part.endswith(("B", "KiB", "MiB", "GiB"))
 
     def test_peak_memory_inclusive_of_children(self, db):
-        analyzed = db.analyze(ANY_SQL)
+        analyzed = db.analyze(ANY_SQL, memory=True)
         tree = json.loads(analyzed.metrics_json())
 
         def walk(node):
@@ -157,6 +161,94 @@ class TestResourceAccounting:
         )
         assert "candidates_per_probe=" in text
         assert "refines_per_candidate=" in text
+
+
+def _node_lines(text):
+    """Plan node lines, footer dropped and run-dependent times masked."""
+    return [re.sub(r"time=[0-9.]+ ms", "time=T", line)
+            for line in text.splitlines()
+            if not line.startswith(("Planning Time", "Execution Time"))]
+
+
+def _ms(text, label):
+    line = next(ln for ln in text.splitlines() if ln.startswith(label))
+    return float(line[len(label):].split()[0])
+
+
+class TestMemoryOptIn:
+    @pytest.fixture
+    def no_tracemalloc(self, monkeypatch):
+        import tracemalloc
+
+        def refuse(*args):
+            raise AssertionError("tracemalloc started")
+
+        monkeypatch.setattr(tracemalloc, "start", refuse)
+
+    def test_default_analyze_never_traces_memory(self, db, no_tracemalloc):
+        analyzed = db.analyze(ANY_SQL)
+        assert "mem_peak=" not in analyzed.plan_text
+        assert "mem_peak_bytes" not in analyzed.metrics_json()
+        assert "mem_peak=" not in db.explain_analyze(ANY_SQL)
+
+    def test_default_sql_explain_analyze_never_traces_memory(
+            self, db, no_tracemalloc):
+        text = "\n".join(
+            row[0] for row in db.execute("EXPLAIN ANALYZE " + ANY_SQL).rows
+        )
+        assert "actual rows=" in text
+        assert "mem_peak=" not in text
+        assert "tracemalloc" not in text
+
+    def test_memory_run_stops_tracemalloc_afterwards(self, db):
+        import tracemalloc
+
+        db.execute("EXPLAIN (ANALYZE, MEMORY) " + ANY_SQL)
+        assert not tracemalloc.is_tracing()
+
+
+class TestOneInstrumentedPath:
+    def test_sql_and_python_render_the_same_node_lines(self, db):
+        sql_text = "\n".join(
+            row[0] for row in db.execute("EXPLAIN ANALYZE " + ANY_SQL).rows
+        )
+        assert _node_lines(sql_text) == _node_lines(db.explain_analyze(ANY_SQL))
+
+    @pytest.mark.parametrize("run", [
+        lambda d: d.execute("EXPLAIN ANALYZE " + ANY_SQL),
+        lambda d: d.analyze(ANY_SQL),
+    ], ids=["sql", "python"])
+    def test_both_fold_counters_and_log_the_query(self, db, run):
+        db.set_query_log(True)
+        run(db)
+        snapshot = db.metrics_snapshot()
+        assert 'repro_sgb_points_total{source="batch"} 3' in snapshot
+        assert 'repro_exec_rows_skipped_null_total{source="batch"} 2' \
+            in snapshot
+        (record,) = db.query_log.recent()
+        assert record.actual_rows == 2
+
+    def test_planning_and_execution_time_footer(self, db):
+        text = "\n".join(
+            row[0] for row in db.execute("EXPLAIN ANALYZE " + ANY_SQL).rows
+        )
+        lines = text.splitlines()
+        assert lines[-2].startswith("Planning Time: ")
+        assert lines[-1].startswith("Execution Time: ")
+        assert _ms(text, "Planning Time: ") >= 0.0
+        root_ms = float(lines[0].split("time=")[1].split()[0])
+        # The root line rounds to 0.01 ms, the footer to 0.001 ms.
+        assert _ms(text, "Execution Time: ") >= root_ms - 0.005
+
+    @pytest.mark.parametrize("sql", [
+        "EXPLAIN (MEMORY) " + ANY_SQL,
+        "EXPLAIN (ANALYZE, VERBOSE) " + ANY_SQL,
+        "EXPLAIN () " + ANY_SQL,
+        "EXPLAIN (ANALYZE " + ANY_SQL,
+    ])
+    def test_bad_options_raise_parse_error(self, db, sql):
+        with pytest.raises(ParseError):
+            db.execute(sql)
 
 
 class TestInstrumentationOffByDefault:

@@ -66,6 +66,15 @@ class TestIncrementalGrouping:
         eng.extend(pts)
         assert eng.snapshot().partition() == baseline.snapshot().partition()
 
+    @pytest.mark.parametrize("index", ["grid", "rtree", "linear"])
+    @pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
+    def test_exact_eps_pairs_stay_together(self, index, metric):
+        # |0.5 - (-1e-20)| rounds to 0.5 = eps, yet 0.5 - 0.5 rounds to
+        # 0.0: an unwidened ε-box around the later point misses the first.
+        eng = StreamingSGBAny(eps=0.5, metric=metric, index=index)
+        eng.extend([(-1e-20, 0.0), (0.5, 0.0), (5.0, -1e-20), (5.0, 0.5)])
+        assert eng.snapshot().labels == [0, 0, 1, 1]
+
     @pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
     def test_metrics_supported(self, metric):
         eng = StreamingSGBAny(eps=1.0, metric=metric)
