@@ -30,8 +30,16 @@ once, then stopped — the worst "off" case, asserted ≤ threshold vs the
 plain path because a stopped profiler must be free) and **profile_on**
 (sampler thread running; reported, not asserted).
 
+The operator cell runs the ``index`` strategy (the R-tree), which still
+probes point by point: the batch strategies do no per-point work for a
+guard to sit on.
+
 Timings use the min over rounds (the standard microbenchmark estimator —
-robust to scheduler noise on small CI boxes).
+robust to scheduler noise on small CI boxes).  Every asserted pair
+(baseline/off, off/profile_off, off/analyze) is timed alone, interleaved
+over ``GATE_ROUNDS`` rounds; the reported variants run apart from it,
+so neither a running sampler thread nor a short round count skews a
+gate.
 
 Usage::
 
@@ -58,8 +66,8 @@ from repro.obs.trace import Tracer  # noqa: E402
 EPS = 1.0  # uniform_points spans a 20x20 square; ~Fig. 9 mid-density.
 ANALYZE_THRESHOLD = 1.25  # max EXPLAIN ANALYZE / plain wall-time ratio
 CHECKINS = 5000  # rows of the check-in benchmark table
-ANALYZE_ROUNDS = 15
-STRATEGY = "grid"
+GATE_ROUNDS = 15  # interleaved rounds for every asserted pair
+STRATEGY = "index"  # an incremental strategy: one probe per point
 
 
 def _pre_pr_add(op, point) -> None:
@@ -70,8 +78,9 @@ def _pre_pr_add(op, point) -> None:
     to the disabled path is only the probe-latency timer plumbing around
     ``neighbors`` and the ``maybe_span`` handles in ``add_many`` /
     ``finalize``.  Replicating the old body exactly (same per-call
-    attribute lookups, same validation) makes the off/baseline ratio
-    measure precisely that addition.
+    attribute lookups, same validation, and the batch-strategy early
+    return the current body has) makes the off/baseline ratio measure
+    precisely that addition.
     """
     if op._finalized:
         raise RuntimeError("operator already finalized")
@@ -82,6 +91,8 @@ def _pre_pr_add(op, point) -> None:
         raise ValueError(f"point dimension {len(pt)} != {op._dim}")
     pid = len(op._points)
     op._points.append(pt)
+    if op._strategy.batch:
+        return
     op._uf.add(pid)
     bag = op.metrics
     if bag is not None:
@@ -142,41 +153,40 @@ def sql_pair(n: int, rounds: int):
     then stopped — the state a user lands in after ``\\profile off`` —
     so the measurement covers any residue a stopped profiler could
     leave, not just the never-enabled path.
+
+    off, on and profile_off are interleaved over ``GATE_ROUNDS``
+    rounds before the profile_on database exists: its sampler thread
+    would otherwise run through every other variant's timings.
+    profile_on then runs ``rounds`` times on its own.
     """
     from repro.engine.database import Database
 
     points = uniform_points(n)
-    variants = {
-        "off": {},
-        "on": {"trace": True},
-        "profile_off": {"profile": True},
-        "profile_on": {"profile": True},
-    }
     sql = ("SELECT count(*) FROM pts GROUP BY x, y "
            f"DISTANCE-TO-ANY L2 WITHIN {EPS}")
-    dbs = {}
-    for name, kwargs in variants.items():
+
+    def make(name, **kwargs):
         db = Database(**kwargs)
         if name == "profile_off":
             db.set_profile(False)
         db.execute("CREATE TABLE pts (x float, y float)")
         db.insert("pts", [tuple(p) for p in points])
         db.query(sql)  # warmup
-        dbs[name] = db
-    times = {name: float("inf") for name in variants}
-    for _ in range(rounds):
-        for name, db in dbs.items():
-            t0 = time.perf_counter()
-            db.query(sql)
-            times[name] = min(times[name], time.perf_counter() - t0)
-    for name in ("profile_on", "profile_off"):
-        dbs[name].set_profile(False)
+        return name, (lambda _: db.query(sql)), db
+
+    cells = [make("off"), make("on", trace=True),
+             make("profile_off", profile=True)]
+    times = time_interleaved([cell[:2] for cell in cells], None,
+                             GATE_ROUNDS)
+    name, fn, db = make("profile_on", profile=True)
+    times.update(time_interleaved([(name, fn)], None, rounds))
+    db.set_profile(False)
     return times
 
 
 def analyze_cells(rounds: int):
     """Plain check-in ``any_fine`` vs SQL EXPLAIN ANALYZE (min over
-    ``ANALYZE_ROUNDS`` interleaved rounds: the asserted pair is cheap, so
+    ``GATE_ROUNDS`` interleaved rounds: the asserted pair is cheap, so
     it gets enough rounds for a stable min), and EXPLAIN (ANALYZE,
     MEMORY) over ``rounds``."""
     from repro.engine.database import Database
@@ -199,7 +209,7 @@ def analyze_cells(rounds: int):
         fn(None)  # warmup
     times = time_interleaved(
         [("off", fns["off"]), ("analyze", fns["analyze"])], None,
-        ANALYZE_ROUNDS,
+        GATE_ROUNDS,
     )
     times.update(time_interleaved(
         [("analyze_memory", fns["analyze_memory"])], None, rounds,
@@ -214,7 +224,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=None,
                         help="points per round (default 6000; 1500 --quick)")
     parser.add_argument("--rounds", type=int, default=None,
-                        help="rounds per variant, min is kept "
+                        help="rounds per reported variant, min is kept "
                              "(default 5; 3 with --quick)")
     parser.add_argument("--threshold", type=float, default=1.05,
                         help="max allowed off/baseline wall-time ratio")
@@ -235,9 +245,9 @@ def main(argv=None) -> int:
     for fn in (run_baseline, run_off, run_on):
         groups = fn(points)
     results = time_interleaved(
-        [("baseline", run_baseline), ("off", run_off), ("on", run_on)],
-        points, rounds,
+        [("baseline", run_baseline), ("off", run_off)], points, GATE_ROUNDS,
     )
+    results.update(time_interleaved([("on", run_on)], points, rounds))
     for name in ("baseline", "off", "on"):
         print(f"[operator {name:8s}] n={n}: {results[name] * 1000:8.2f} ms")
 
@@ -278,6 +288,7 @@ def main(argv=None) -> int:
             "strategy": STRATEGY,
             "threshold": args.threshold,
             "analyze_threshold": ANALYZE_THRESHOLD,
+            "gate_rounds": GATE_ROUNDS,
             "checkins": CHECKINS,
             "quick": args.quick,
         },

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import kernels
 from repro.core.distance import Metric
 from repro.geometry.convex_hull import IncrementalHull
-from repro.geometry.rectangle import Rect, eps_all_rect
+from repro.geometry.rectangle import Rect, eps_all_rect, in_rounding_band
 
 Point = Tuple[float, ...]
 
@@ -110,12 +110,23 @@ class Group:
         L∞: the ε-All rectangle answers exactly in O(d).
         L2 (2-D): ε-All rectangle filter, then the Convex Hull Test of §6.4.
         L2 (other dims) / other metrics: rectangle filter, then member scan.
+
+        The rectangle's edges are rounded, so a point within that rounding
+        of an edge (:func:`~repro.geometry.rectangle.in_rounding_band`) —
+        outside, or inside under L∞ — is decided by the member predicate,
+        as All-Pairs decides it.
         """
-        if self.eps_rect is None or not self.eps_rect.contains_point(point):
+        rect = self.eps_rect
+        if rect is None:
             return False
-        if self.metric.name == "linf":
-            return True
-        return self.refine(point)
+        if rect.contains_point(point):
+            if self.metric.name != "linf":
+                return self.refine(point)
+            if not in_rounding_band(rect, point, self.eps):
+                return True
+        elif not in_rounding_band(rect, point, self.eps):
+            return False
+        return self.all_within(point)
 
     def refine(self, point: Point) -> bool:
         """Exact post-rectangle test for non-L∞ metrics (paper §6.4).

@@ -44,7 +44,7 @@ from repro.core.distance import (
 from repro.core.groups import Group, GroupRegistry
 from repro.core.result import ELIMINATED, GroupingResult
 from repro.errors import DimensionMismatchError, InvalidParameterError
-from repro.geometry.rectangle import Rect, probe_box
+from repro.geometry.rectangle import EDGE_TOLERANCE, Rect, probe_box
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 from repro.obs.metrics import MetricBag
@@ -206,15 +206,30 @@ class BoundsCheckingStrategy(_StrategyBase):
             wlo0, wlo1 = window.lo
             whi0, whi1 = window.hi
         exact = self.metric.name == "linf"
+        # Group.accepts unrolled: within the rounding band of the ε-All
+        # rectangle's edges the member predicate decides.
+        tx = (abs(x) + self.eps) * EDGE_TOLERANCE
+        ty = (abs(y) + self.eps) * EDGE_TOLERANCE
         for g in groups:
             rect = g.eps_rect
             lo = rect.lo
             hi = rect.hi
             if lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]:
-                if exact or g.refine(point):
+                if not exact:
+                    if g.refine(point):
+                        candidates.append(g)
+                        continue
+                    # an L2 false positive may still partially overlap
+                elif ((lo[0] + tx <= x <= hi[0] - tx
+                       and lo[1] + ty <= y <= hi[1] - ty)
+                      or g.all_within(point)):
                     candidates.append(g)
                     continue
-                # an L2 false positive may still partially overlap
+            elif (lo[0] - tx <= x <= hi[0] + tx
+                  and lo[1] - ty <= y <= hi[1] + ty
+                  and g.all_within(point)):
+                candidates.append(g)
+                continue
             if need_overlap:
                 mbr = g.mbr
                 mlo = mbr.lo

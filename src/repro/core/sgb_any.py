@@ -9,16 +9,17 @@ Strategies for ``FindCandidateGroups``:
 * :class:`NaiveAnyStrategy` — scan every previously processed point (O(n²));
 * :class:`RTreeAnyStrategy` — Procedure 8: an R-tree over processed points
   answers the ε-box window query, L2 candidates are verified exactly, and a
-  Union-Find forest tracks created/merged groups (Procedure 9);
-* :class:`GridAnyStrategy` — ablation: a uniform hash grid instead of the
-  R-tree (same window-query contract).
+  Union-Find forest tracks created/merged groups (Procedure 9).
 
 Because SGB-Any groups are the connected components of the ε-graph, they
 do not depend on the order points are processed in — which admits a
 second family of *batch* strategies that defer all probing to
-``finalize``: build a static index over the complete point set once,
-then answer every point's ε-neighborhood as vectorized blocks:
+``finalize`` and work over the complete point set at once:
 
+* :class:`GridAnyStrategy` — ablation: a uniform grid of cell side ε
+  instead of the R-tree.  One :func:`repro.kernels.grid_eps_components`
+  call joins neighbouring cells and labels the components (vectorized
+  block by block under the numpy backend);
 * :class:`KDTreeAnyStrategy` — a bucketed k-d tree; each leaf's members
   are verified against the leaf's ε-expanded window candidates in one
   :func:`repro.kernels.batch_eps_neighbors` call;
@@ -55,15 +56,15 @@ class _AnyStrategyBase:
     """Finds ids of previously-seen points within ε of a probe point.
 
     ``metrics`` (set by the owning operator) receives ``index_probes`` —
-    one per :meth:`neighbors` call — and ``candidates`` — raw entries the
-    probe returned before exact verification (points scanned, for the
-    naive strategy).
+    one per probe point — and ``candidates`` — raw entries the probe
+    returned before exact verification (points scanned, for the naive
+    strategy).
     """
 
     name = "abstract"
-    #: Batch strategies defer all probing to ``finalize`` — the operator
-    #: skips the per-point ``neighbors`` call and drains
-    #: :meth:`batch_neighbors` once every point has been inserted.
+    #: Batch strategies defer all probing to ``finalize``: the operator
+    #: only spools points and asks :meth:`batch_labels` for the
+    #: components once every point has arrived.
     batch = False
 
     def __init__(self, eps: float, metric: Metric):
@@ -77,15 +78,9 @@ class _AnyStrategyBase:
     def insert(self, point_id: int, point: Point) -> None:
         raise NotImplementedError
 
-    def batch_neighbors(self) -> "Iterable[Tuple[int, List[int]]]":
-        """Yield ``(point_id, ε-neighbor ids)`` over all inserted points.
-
-        Only meaningful on batch strategies (``batch = True``).  Neighbor
-        lists are computed against the *complete* point set (self
-        excluded); since SGB-Any components are order-independent, the
-        resulting union-find forest matches the incremental strategies'
-        exactly.
-        """
+    def batch_labels(self, points: Sequence[Point]) -> List[int]:
+        """First-appearance component labels of ``points`` (batch
+        strategies only)."""
         raise NotImplementedError
 
 
@@ -155,8 +150,45 @@ class RTreeAnyStrategy(_AnyStrategyBase):
         self._store.append(point)
 
 
-class GridAnyStrategy(_AnyStrategyBase):
-    """Uniform-grid variant (ablation; see DESIGN.md)."""
+class _BatchAnyStrategyBase(_AnyStrategyBase):
+    """Deferred (batch) strategies: nothing happens per point; the
+    operator hands over the complete point set at finalize.
+
+    The default :meth:`batch_labels` unions the ε-neighbour lists
+    :meth:`batch_neighbors` yields into a Union-Find forest.
+    """
+
+    batch = True
+
+    def batch_neighbors(
+        self, points: Sequence[Point]
+    ) -> Iterator[Tuple[int, List[int]]]:
+        """Yield ``(point_id, ε-neighbor ids)`` over all points.
+
+        Neighbor lists are computed against the *complete* point set
+        (self excluded); since SGB-Any components are order-independent,
+        the resulting forest matches the incremental strategies'
+        exactly.
+        """
+        raise NotImplementedError
+
+    def batch_labels(self, points: Sequence[Point]) -> List[int]:
+        uf = UnionFind(range(len(points)))
+        for pid, neighbors in self.batch_neighbors(points):
+            for nb in neighbors:
+                uf.union(pid, nb)
+        return uf.labels(range(len(points)))
+
+
+class GridAnyStrategy(_BatchAnyStrategyBase):
+    """Uniform-grid variant (ablation; see DESIGN.md).
+
+    A batch strategy: :func:`repro.kernels.grid_eps_components` gathers
+    every point's cell neighbourhood, verifies the candidates and labels
+    the components in one call.  Counters match the per-point probe it
+    replaces: one ``index_probes`` per point, and ``candidates`` the
+    pairs that pass the ε-box test.
+    """
 
     name = "grid"
 
@@ -166,54 +198,15 @@ class GridAnyStrategy(_AnyStrategyBase):
                 "the grid strategy requires eps > 0 (cell side is eps)"
             )
         super().__init__(eps, metric)
-        self._grid = GridIndex(cell_size=eps)
-        self._store = kernels.make_point_store()
 
-    def neighbors(self, point: Point) -> List[int]:
-        # Gather candidate ids from the cell neighbourhood, then run the
-        # window-containment + distance verification as one bulk pass.
-        ids = self._grid.items_in_cell_range(probe_box(point, self.eps))
-        # The box tally feeds the candidates counter and the CountingMetric
-        # charge; skip it entirely when neither collector is attached.
-        count = self.metrics is not None or hasattr(self.metric, "calls")
-        t0 = time.perf_counter() if self.metrics is not None else 0.0
-        result, n_window = self._store.query_ids_eps_box(
-            ids, point, self.eps, self.metric, count=count
+    def batch_labels(self, points: Sequence[Point]) -> List[int]:
+        labels, n_window = kernels.grid_eps_components(
+            points, self.eps, self.metric
         )
         if self.metrics is not None:
-            self.metrics.observe(
-                "distance_batch_latency", time.perf_counter() - t0
-            )
-            self.metrics.incr("index_probes")
+            self.metrics.incr("index_probes", len(points))
             self.metrics.incr("candidates", n_window)
-        return result
-
-    def insert(self, point_id: int, point: Point) -> None:
-        self._grid.insert(point, point_id)
-        self._store.append(point)
-
-
-class _BatchAnyStrategyBase(_AnyStrategyBase):
-    """Shared spool for the deferred (batch) strategies.
-
-    ``insert`` only appends; the index is built and probed in one pass
-    when the operator finalizes and drains :meth:`batch_neighbors`.
-    """
-
-    batch = True
-
-    def __init__(self, eps: float, metric: Metric):
-        super().__init__(eps, metric)
-        self._points: List[Point] = []
-
-    def insert(self, point_id: int, point: Point) -> None:
-        assert point_id == len(self._points), "ids must be dense and ordered"
-        self._points.append(point)
-
-    def neighbors(self, point: Point) -> List[int]:
-        raise RuntimeError(
-            f"strategy {self.name!r} is batch-only; probes run at finalize"
-        )
+        return labels
 
 
 class KDTreeAnyStrategy(_BatchAnyStrategyBase):
@@ -234,11 +227,12 @@ class KDTreeAnyStrategy(_BatchAnyStrategyBase):
         super().__init__(eps, metric)
         self._leaf_size = leaf_size
 
-    def batch_neighbors(self) -> Iterator[Tuple[int, List[int]]]:
+    def batch_neighbors(
+        self, points: Sequence[Point]
+    ) -> Iterator[Tuple[int, List[int]]]:
         from repro.index.kdtree import KDTree
 
-        pts = self._points
-        tree = KDTree.build(pts, leaf_size=self._leaf_size)
+        tree = KDTree.build(points, leaf_size=self._leaf_size)
         eps = self.eps
         metric = self.metric
         bag = self.metrics
@@ -246,8 +240,8 @@ class KDTreeAnyStrategy(_BatchAnyStrategyBase):
             wlo = tuple(v - eps for v in lo)
             whi = tuple(v + eps for v in hi)
             cand = tree.window_ids(wlo, whi)
-            cand_pts = [pts[i] for i in cand]
-            probes = [pts[i] for i in leaf_ids]
+            cand_pts = [points[i] for i in cand]
+            probes = [points[i] for i in leaf_ids]
             if bag is not None:
                 bag.incr("index_probes", len(leaf_ids))
                 bag.incr("candidates", len(cand) * len(leaf_ids))
@@ -281,23 +275,24 @@ class STRBulkAnyStrategy(_BatchAnyStrategyBase):
         super().__init__(eps, metric)
         self._max_entries = rtree_max_entries
 
-    def batch_neighbors(self) -> Iterator[Tuple[int, List[int]]]:
+    def batch_neighbors(
+        self, points: Sequence[Point]
+    ) -> Iterator[Tuple[int, List[int]]]:
         from repro.index.hilbert import sort_indices
 
-        pts = self._points
         tree = RTree.bulk_load(
-            [(Rect.from_point(p), i) for i, p in enumerate(pts)],
+            [(Rect.from_point(p), i) for i, p in enumerate(points)],
             max_entries=self._max_entries,
         )
         store = kernels.make_point_store()
-        for p in pts:
+        for p in points:
             store.append(p)
         eps = self.eps
         metric = self.metric
         bag = self.metrics
         count = hasattr(metric, "calls")
-        for pid in sort_indices(pts):
-            point = pts[pid]
+        for pid in sort_indices(points):
+            point = points[pid]
             hits = tree.search(probe_box(point, eps))
             t0 = time.perf_counter() if bag is not None else 0.0
             verified, _ = store.query_ids_eps_box(
@@ -315,10 +310,11 @@ class STRBulkAnyStrategy(_BatchAnyStrategyBase):
 class HilbertGridAnyStrategy(_BatchAnyStrategyBase):
     """Hilbert-bulk-built uniform grid probed in curve order.
 
-    Same cell-neighbourhood probe as :class:`GridAnyStrategy`, but the
-    grid's buckets are allocated in space-filling-curve order and the
-    probe loop walks the same order, so the gather phase revisits
-    adjacent buckets instead of hopping across the hash table.
+    One cell-neighbourhood probe per point, as in the python backend's
+    :func:`~repro.kernels.grid_eps_components` loop, but the grid's
+    buckets are allocated in space-filling-curve order and the probe
+    loop walks the same order, so the gather phase revisits adjacent
+    buckets instead of hopping across the hash table.
     """
 
     name = "hilbert-grid"
@@ -330,23 +326,24 @@ class HilbertGridAnyStrategy(_BatchAnyStrategyBase):
             )
         super().__init__(eps, metric)
 
-    def batch_neighbors(self) -> Iterator[Tuple[int, List[int]]]:
+    def batch_neighbors(
+        self, points: Sequence[Point]
+    ) -> Iterator[Tuple[int, List[int]]]:
         from repro.index.hilbert import sort_indices
 
-        pts = self._points
         grid = GridIndex.bulk_build(
-            [(p, i) for i, p in enumerate(pts)],
+            [(p, i) for i, p in enumerate(points)],
             cell_size=self.eps, presort="hilbert",
         )
         store = kernels.make_point_store()
-        for p in pts:
+        for p in points:
             store.append(p)
         eps = self.eps
         metric = self.metric
         bag = self.metrics
         count = bag is not None or hasattr(metric, "calls")
-        for pid in sort_indices(pts):
-            point = pts[pid]
+        for pid in sort_indices(points):
+            point = points[pid]
             ids = grid.items_in_cell_range(probe_box(point, eps))
             t0 = time.perf_counter() if bag is not None else 0.0
             result, n_window = store.query_ids_eps_box(
@@ -380,10 +377,12 @@ _STRATEGIES = {
 class SGBAnyOperator:
     """Streaming SGB-Any operator (Procedure 7).
 
-    Each arriving point is unioned with every ε-neighbour already seen; the
-    Union-Find forest merges groups on contact (Procedure 9,
-    ``MergeGroupsInsert``), so the final components are exactly the connected
-    components of the ε-graph regardless of input order.
+    Under an incremental strategy each arriving point is unioned with
+    every ε-neighbour already seen; the Union-Find forest merges groups on
+    contact (Procedure 9, ``MergeGroupsInsert``), so the final components
+    are exactly the connected components of the ε-graph regardless of
+    input order.  A batch strategy only spools points and labels the
+    components of the complete point set at :meth:`finalize`.
     """
 
     def __init__(
@@ -432,6 +431,8 @@ class SGBAnyOperator:
         else:
             self._strategy = strategy_cls(self.eps, self.metric)
         self._strategy.metrics = metrics
+        #: The incremental strategies' forest (batch ones label at
+        #: finalize and never touch it).
         self._uf = UnionFind()
         self._points: List[Point] = []
         self._dim: Optional[int] = None
@@ -454,25 +455,49 @@ class SGBAnyOperator:
         return calls
 
     def add(self, point: Sequence[float]) -> None:
+        self._append_block((point,))
+        if not self._strategy.batch:
+            pid = len(self._points) - 1
+            self._probe(pid, self._points[pid])
+
+    def add_many(self, points: Iterable[Sequence[float]]) -> "SGBAnyOperator":
+        with maybe_span(self.tracer, "ingest",
+                        strategy=self.strategy_name) as sp:
+            n0 = len(self._points)
+            self._append_block(points)
+            if not self._strategy.batch:
+                # Incremental strategy: each point meets the points
+                # before it, in arrival order.
+                pts = self._points
+                for pid in range(n0, len(pts)):
+                    self._probe(pid, pts[pid])
+            sp.set(points=len(self._points) - n0)
+        return self
+
+    def _append_block(self, points: Iterable[Sequence[float]]) -> None:
+        """Validate a block of points and spool it.  Batch strategies do
+        nothing more until finalize (components are order-independent)."""
         if self._finalized:
             raise RuntimeError("operator already finalized")
-        pt = tuple(float(v) for v in point)
+        block = [tuple(map(float, p)) for p in points]
+        if not block:
+            return
         if self._dim is None:
-            self._dim = len(pt)
+            self._dim = len(block[0])
             if self._dim < 1:
                 raise InvalidParameterError("points must have >= 1 dimension")
-        elif len(pt) != self._dim:
-            raise DimensionMismatchError(
-                f"point dimension {len(pt)} != {self._dim}"
-            )
-        pid = len(self._points)
-        self._points.append(pt)
+        dim = self._dim
+        for pt in block:
+            if len(pt) != dim:
+                raise DimensionMismatchError(
+                    f"point dimension {len(pt)} != {dim}"
+                )
+        self._points.extend(block)
+
+    def _probe(self, pid: int, pt: Point) -> None:
+        """Union point ``pid`` with its ε-neighbours among the points
+        before it, then index it (incremental strategies)."""
         self._uf.add(pid)
-        if self._strategy.batch:
-            # Deferred strategy: probes run once, at finalize, over the
-            # complete point set (components are order-independent).
-            self._strategy.insert(pid, pt)
-            return
         bag = self.metrics
         if bag is not None:
             t0 = time.perf_counter()
@@ -484,54 +509,39 @@ class SGBAnyOperator:
             self._uf.union(pid, nb)
         self._strategy.insert(pid, pt)
 
-    def add_many(self, points: Iterable[Sequence[float]]) -> "SGBAnyOperator":
-        with maybe_span(self.tracer, "ingest",
-                        strategy=self.strategy_name) as sp:
-            n0 = len(self._points)
-            for p in points:
-                self.add(p)
-            sp.set(points=len(self._points) - n0)
-        return self
-
     def finalize(self) -> GroupingResult:
         if self._finalized:
             raise RuntimeError("operator already finalized")
         self._finalized = True
-        if self._strategy.batch and self._points:
-            self._run_batch_probe()
+        n = len(self._points)
+        labels: Optional[List[int]] = None
+        if self._strategy.batch and n:
+            labels = self._run_batch_probe()
         bag = self.metrics
+        with maybe_span(self.tracer, "finalize", points=n) as sp:
+            if labels is None:
+                labels = self._uf.labels(range(n))
+            n_groups = max(labels) + 1 if labels else 0
+            sp.set(groups=n_groups)
         if bag is not None:
-            n = len(self._points)
             if n:
                 # Every point starts a singleton group and every effective
                 # union merges two, so the group counters are tallied once
                 # here rather than per point.
                 bag.incr("points", n)
                 bag.incr("groups_created", n)
-                bag.incr("groups_merged", n - self._uf.n_components)
+                bag.incr("groups_merged", n - n_groups)
             bag.incr("distance_computations", getattr(self.metric, "calls", 0))
-        with maybe_span(self.tracer, "finalize",
-                        points=len(self._points)) as sp:
-            labels: List[int] = []
-            root_to_label: dict = {}
-            for pid in range(len(self._points)):
-                root = self._uf.find(pid)
-                if root not in root_to_label:
-                    root_to_label[root] = len(root_to_label)
-                labels.append(root_to_label[root])
-            sp.set(groups=len(root_to_label))
         return GroupingResult(labels, self._points)
 
-    def _run_batch_probe(self) -> None:
-        """Drain a batch strategy's deferred probe pass into the forest."""
+    def _run_batch_probe(self) -> List[int]:
+        """A batch strategy's deferred probe pass: component labels."""
         bag = self.metrics
-        uf = self._uf
         with maybe_span(self.tracer, "probe_batch",
                         strategy=self.strategy_name,
                         points=len(self._points)):
             t0 = time.perf_counter()
-            for pid, neighbors in self._strategy.batch_neighbors():
-                for nb in neighbors:
-                    uf.union(pid, nb)
+            labels = self._strategy.batch_labels(self._points)
             if bag is not None:
                 bag.observe("probe_latency", time.perf_counter() - t0)
+        return labels

@@ -76,6 +76,14 @@ class UnionFind:
     def component_size(self, x: Hashable) -> int:
         return self._size[self.find(x)]
 
+    def labels(self, elements: Iterable[Hashable]) -> List[int]:
+        """Dense component labels of ``elements``, numbered in order of
+        first appearance (the SGB-Any output labelling)."""
+        root_label: Dict[Hashable, int] = {}
+        find = self.find
+        return [root_label.setdefault(find(x), len(root_label))
+                for x in elements]
+
     def groups(self) -> Dict[Hashable, List[Hashable]]:
         """Materialize root -> members mapping (insertion order preserved)."""
         out: Dict[Hashable, List[Hashable]] = {}

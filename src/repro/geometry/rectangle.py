@@ -203,29 +203,56 @@ class Rect:
         return f"Rect(lo={self.lo}, hi={self.hi})"
 
 
+#: Relative margin for rounding at ε-box edges: :func:`probe_box` widens
+#: by ``(|v| + radius) * EDGE_TOLERANCE`` per axis, and
+#: :func:`in_rounding_band` marks the band an ε-All rectangle cannot
+#: decide.
+EDGE_TOLERANCE = 1e-12
+
+
 def probe_box(point: Sequence[float], radius: float) -> Rect:
     """The window of an ε probe: the L∞ box of ``radius`` around ``point``,
-    widened by a relative 1e-12.
+    widened by a relative :data:`EDGE_TOLERANCE`.
 
     Rounding in ``v ± radius`` can otherwise drop a point whose rounded
     distance is exactly ``radius`` (``-1e-20`` from ``0.5`` with radius
     ``0.5``: the lower edge rounds to ``0.0``).  The window may therefore
     hold points slightly beyond ``radius``; every caller refines its hits
     by exact distance.  The ε-All rectangle (:func:`eps_all_rect`) is an
-    acceptance test, not a window, and stays exact.
+    acceptance test, not a window, and stays exact; its users decide a
+    point in :func:`in_rounding_band` by distance instead.
     """
     if len(point) == 2:
         x, y = point
-        rx = radius + (abs(x) + radius) * 1e-12
-        ry = radius + (abs(y) + radius) * 1e-12
+        rx = radius + (abs(x) + radius) * EDGE_TOLERANCE
+        ry = radius + (abs(y) + radius) * EDGE_TOLERANCE
         return Rect._make((x - rx, y - ry), (x + rx, y + ry))
     lo: List[float] = []
     hi: List[float] = []
     for v in point:
-        r = radius + (abs(v) + radius) * 1e-12
+        r = radius + (abs(v) + radius) * EDGE_TOLERANCE
         lo.append(v - r)
         hi.append(v + r)
     return Rect._make(tuple(lo), tuple(hi))
+
+
+def in_rounding_band(rect: Rect, point: Sequence[float], eps: float) -> bool:
+    """Is ``point`` within rounding of ``rect``'s boundary: inside the
+    rectangle widened by ``(|v| + eps) * EDGE_TOLERANCE`` per axis, but
+    not inside it shrunk by as much?
+
+    The ε-All rectangle's edges ``x ± eps`` are rounded (``0.5 - 0.5`` is
+    ``0.0`` though ``-1e-20`` lies exactly ``0.5`` from ``0.5``), so in
+    this band only the members' distances decide.
+    """
+    deep = True
+    for v, lo, hi in zip(point, rect.lo, rect.hi):
+        tol = (abs(v) + eps) * EDGE_TOLERANCE
+        if v < lo - tol or v > hi + tol:
+            return False
+        if v < lo + tol or v > hi - tol:
+            deep = False
+    return not deep
 
 
 def eps_all_rect(points: Iterable[Sequence[float]], eps: float) -> Optional[Rect]:

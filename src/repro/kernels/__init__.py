@@ -146,6 +146,15 @@ def batch_eps_neighbors(points: Sequence[Coords], probes: Sequence[Coords],
     return _impl.batch_eps_neighbors(points, probes, eps, metric)
 
 
+def grid_eps_components(points: Sequence[Point], eps: float,
+                        metric: MetricLike) -> Tuple[List[int], int]:
+    """Connected components of the ε-graph over ``points`` (``eps > 0``):
+    first-appearance labels and the number of candidate pairs that passed
+    the ε-box test.  A ``CountingMetric`` is charged that many calls,
+    except under L∞, where the box test is the predicate."""
+    return _impl.grid_eps_components(points, eps, metric)
+
+
 def make_point_store() -> Any:
     """Backend-native append-only point collection (dense ids)."""
     return _impl.make_point_store()
@@ -182,6 +191,7 @@ __all__ = [
     "any_within",
     "batch_window_query",
     "batch_eps_neighbors",
+    "grid_eps_components",
     "make_point_store",
     "make_group_block",
 ]

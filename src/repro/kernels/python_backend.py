@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.dsu.union_find import UnionFind
+from repro.geometry.rectangle import probe_box
+from repro.index.grid import GridIndex
 from repro.kernels._protocols import Coords, MetricLike, Point
 
 name = "python"
@@ -179,6 +182,33 @@ def eps_box_filter(points: Sequence[Coords], ids: Iterable[int], q: Coords,
         [i for i in in_window if within(points[i], q, eps)],
         len(in_window),
     )
+
+
+def grid_eps_components(points: Sequence[Point], eps: float,
+                        metric: MetricLike) -> Tuple[List[int], int]:
+    """Connected components of the ε-graph over ``points`` (``eps > 0``).
+
+    Returns first-appearance component labels and the number of
+    candidate pairs that passed the ε-box test (``n_window``).  The
+    reference loop: each point, in id order, gathers the earlier points
+    in the cells its widened ε-window (:func:`~repro.geometry.probe_box`)
+    overlaps on a uniform grid of cell side ``eps``, box-filters and
+    verifies them (:func:`eps_box_filter`, so a ``CountingMetric``
+    observes ``n_window`` calls unless the metric is L∞), and unions
+    every hit into a Union-Find forest.
+    """
+    grid = GridIndex(cell_size=eps)
+    uf = UnionFind()
+    n_window = 0
+    for pid, point in enumerate(points):
+        uf.add(pid)
+        ids = grid.items_in_cell_range(probe_box(point, eps))
+        hits, k = eps_box_filter(points, ids, point, eps, metric)
+        n_window += k
+        for nb in hits:
+            uf.union(pid, nb)
+        grid.insert(point, pid)
+    return uf.labels(range(len(points))), n_window
 
 
 def make_point_store() -> PointStore:

@@ -103,9 +103,10 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
     ranking tracks real wall clock on a pure-python build:
 
     * SGB-Any all-pairs is a quadratic scan with a tiny per-pair
-      constant, the grid pays a flat per-probe cell-gather overhead plus
-      the ε-neighbourhood candidates, and the R-tree pays a logarithmic
-      descent with python-object constants per level.
+      constant, the grid joins cells in one vectorized batch (a small
+      flat cost per point plus the ε-neighbourhood candidates), and the
+      R-tree pays a logarithmic descent with python-object constants
+      per level.
     * SGB-All strategies additionally walk candidate *groups*: all-pairs
       re-checks every stored member and scans the group list (dominant
       when groups ≈ n), bounds-checking rejects every live group with
@@ -141,19 +142,21 @@ def sgb_strategy_cost(mode: str, strategy: str, n: float,
             # probe: a flat dispatch overhead plus a small per-point term.
             per_point = 15.0 + 0.014 * n
         elif strategy == "grid":
-            per_point = 16.0 + 0.45 * k
+            # One batch cell join (kernels.grid_eps_components): a flat
+            # vectorized cost per point plus a small per-candidate term,
+            # with no per-point probe or Union-Find call.  It measures
+            # 2-3x under the k-d tree in every bench_planner cell.
+            per_point = 8.0 + 0.1 * k
         elif strategy in ("index", "indexed", "rtree"):
             per_point = 12.5 * math.log2(n + 1.0) + 1.4 * k
         elif strategy in ("kdtree", "kd-tree"):
             # Static bucketed k-d tree probed leaf-at-a-time, one
             # vectorized kernel call per leaf.  Three terms: a small
-            # flat dispatch cost, the O(log n) per-point python build
-            # (the grid inserts in O(1), so the tree loses ground as n
-            # grows), and a quadratic density term — ε-expanded leaf
-            # windows over-gather as the neighbourhood fills up.  Net:
-            # it owns the mid-density band at moderate n and yields to
-            # the grid at both density extremes and at large n, matching
-            # bench_planner measurements at n ∈ {800, 4000}.
+            # flat dispatch cost, the O(log n) per-point python build,
+            # and a quadratic density term — ε-expanded leaf windows
+            # over-gather as the neighbourhood fills up.  It owned the
+            # mid-density band at moderate n while the grid probed point
+            # by point; the batch grid now undercuts it everywhere.
             per_point = 3.0 + 1.4 * math.log2(n + 1.0) + 0.016 * k * k
         elif strategy in ("rtree-bulk", "str"):
             # STR-packed R-tree: same logarithmic descent as the

@@ -16,6 +16,7 @@ from repro.bench.experiments import skewed_points, uniform_points
 from repro.core.api import sgb_all, sgb_any
 from repro.core.distance import Metric
 from repro.core.sgb_all import SGBAllOperator
+from repro.core.sgb_any import SGBAnyOperator
 from repro.obs.metrics import MetricBag
 from repro.streaming import StreamingSGBAll
 
@@ -30,6 +31,15 @@ CLAUSES = ["join-any", "eliminate", "form-new-group"]
 #: so an unwidened ε-box around the second point of a pair misses the
 #: first.  Every strategy must keep each pair together: [0, 0, 1, 1].
 EXACT_EPS_POINTS = [(-1e-20, 0.0), (0.5, 0.0), (5.0, -1e-20), (5.0, 0.5)]
+
+#: The same pairs in the other order: the second point of each pair now
+#: misses the first one's ε-All rectangle ``[0.0, 1.0]`` by the rounding
+#: of ``0.5 - 0.5``, yet lies exactly ε away.
+EXACT_EPS_REVERSED = [(0.5, 0.0), (-1e-20, 0.0), (5.0, 0.5), (5.0, -1e-20)]
+
+#: Inside the rounded rectangle but beyond ε: ``0.1 + 0.2`` rounds up to
+#: the second point, whose difference from ``0.1`` exceeds ``0.2``.
+BEYOND_EPS_INSIDE_RECT = [(0.1, 0.0), (0.30000000000000004, 0.0)]
 
 #: (name, points, eps) — dense, sparse, and cluster-skewed ε-graphs,
 #: plus heavy duplicates (zero-spread k-d segments, stacked grid cells).
@@ -106,6 +116,29 @@ class TestExactEpsPairs:
                     labels = sgb_all(EXACT_EPS_POINTS, 0.5, metric, clause,
                                      strategy).labels
                     assert labels == [0, 0, 1, 1], (strategy, clause)
+
+    def test_all_strategies_other_order(self, backend, metric):
+        # The ε-All rectangle's rounded edge must not split the pair.
+        with kernels.use_backend(backend):
+            for strategy in ALL_STRATEGIES:
+                for clause in CLAUSES:
+                    labels = sgb_all(EXACT_EPS_REVERSED, 0.5, metric,
+                                     clause, strategy).labels
+                    assert labels == [0, 0, 1, 1], (strategy, clause)
+                for dim in (1, 3):
+                    points = [p[:1] + (0.0,) * (dim - 1)
+                              for p in EXACT_EPS_REVERSED[:2]]
+                    labels = sgb_all(points, 0.5, metric,
+                                     strategy=strategy).labels
+                    assert labels == [0, 0], (strategy, dim)
+
+    def test_all_strategies_beyond_eps_inside_rect(self, backend, metric):
+        with kernels.use_backend(backend):
+            for strategy in ALL_STRATEGIES:
+                for clause in CLAUSES:
+                    labels = sgb_all(BEYOND_EPS_INSIDE_RECT, 0.2, metric,
+                                     clause, strategy).labels
+                    assert labels == [0, 1], (strategy, clause)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -288,3 +321,115 @@ class TestAllGridOtherPaths:
         batch = sgb_all(points, 0.8, on_overlap=clause,
                         strategy="all-pairs", seed=4)
         assert eng.snapshot().partition() == batch.partition()
+
+
+# ----------------------------------------------------------------------
+# SGB-Any grid: the batch cell-join kernel against the linear scan
+# ----------------------------------------------------------------------
+def _lattice(n, dim, seed, step=0.25, span=8):
+    """Multiples of ``step`` (exact in binary) around the origin: with
+    ε = 0.5 many points sit on cell edges, so their widened probe
+    windows reach a fourth cell; negative coordinates, duplicates and
+    exact-ε pairs abound."""
+    rng = random.Random(seed)
+    return [tuple(step * rng.randint(-span, span) for _ in range(dim))
+            for _ in range(n)]
+
+
+def _exact_eps_nd(dim):
+    """Exact-ε pairs in both orders, in ``dim`` dimensions; a shift keeps
+    the pairs apart along the axis whose tiny coordinate it would
+    round away."""
+    if dim == 1:  # one chain through both orders, and a plain pair
+        return [(0.5,), (-1e-20,), (-0.5,), (1e-20,), (7.0,), (7.5,)]
+    pts = EXACT_EPS_POINTS + [
+        (x, y + 20.0) if y == 0.0 else (x + 20.0, y)
+        for x, y in EXACT_EPS_REVERSED
+    ]
+    return [p + (0.0,) * (dim - 2) for p in pts]
+
+
+GRID_INPUTS = {
+    "edges": lambda dim: _lattice(160, dim, seed=dim),
+    "exact_eps": _exact_eps_nd,
+    "random": lambda dim: _random_points(160, dim, seed=dim, span=3.0),
+}
+
+
+@pytest.fixture
+def vectorized_grid(monkeypatch):
+    """Send every input, however small, through the numpy kernel."""
+    if "numpy" not in kernels.available_backends():
+        pytest.skip("numpy backend unavailable")
+    from repro.kernels import numpy_backend
+
+    monkeypatch.setattr(numpy_backend, "_GRID_FALLBACK", 2)
+    return numpy_backend
+
+
+def _grid_counters(points, eps, metric):
+    bag = MetricBag()
+    op = SGBAnyOperator(eps, metric, strategy="grid", metrics=bag)
+    labels = op.add_many(points).finalize().labels
+    return labels, {k: v for k, v in bag.counters.items()}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
+@pytest.mark.parametrize("inputs", sorted(GRID_INPUTS))
+class TestAnyGridKernelParity:
+    def test_labels_match_linear_scan(self, vectorized_grid, dim, metric,
+                                      inputs):
+        points = GRID_INPUTS[inputs](dim)
+        for backend in ("python", "numpy"):
+            with kernels.use_backend(backend):
+                reference = sgb_any(points, 0.5, metric, "all-pairs").labels
+                assert sgb_any(points, 0.5, metric, "grid").labels == \
+                    reference, backend
+
+    def test_counters_identical_across_backends(self, vectorized_grid, dim,
+                                                metric, inputs):
+        points = GRID_INPUTS[inputs](dim)
+        runs = {}
+        for backend in ("python", "numpy"):
+            with kernels.use_backend(backend):
+                runs[backend] = _grid_counters(points, 0.5, metric)
+        assert runs["numpy"] == runs["python"]
+        counters = runs["numpy"][1]
+        assert counters["index_probes"] == len(points)
+        if metric == "linf":
+            assert counters["distance_computations"] == 0
+        else:
+            assert counters["distance_computations"] == \
+                counters["candidates"]
+
+
+class TestAnyGridKernelBlocks:
+    def test_tiny_blocks_change_nothing(self, vectorized_grid, monkeypatch):
+        points = _lattice(300, 2, seed=7) + _random_points(200, 2, 8, 2.0)
+        with kernels.use_backend("numpy"):
+            expected = _grid_counters(points, 0.5, "l2")
+            monkeypatch.setattr(vectorized_grid, "_PAIR_BLOCK", 7)
+            assert _grid_counters(points, 0.5, "l2") == expected
+        assert expected[0] == sgb_any(points, 0.5, "l2", "all-pairs").labels
+
+    def test_custom_metric_falls_back_to_reference(self, vectorized_grid):
+        points = _lattice(120, 2, seed=3)
+        with kernels.use_backend("numpy"):
+            labels = sgb_any(points, 0.5, _ScaledLinf(), "grid").labels
+        assert labels == sgb_any(points, 0.5, _ScaledLinf(),
+                                 "all-pairs").labels
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_partitions_serial_and_parallel(self, backend):
+        rng = random.Random(5)
+        points = _lattice(400, 2, seed=5)
+        keys = [rng.randrange(4) for _ in points]
+        with kernels.use_backend(backend):
+            serial = sgb_any(points, 0.5, strategy="grid", partitions=keys,
+                             parallel=0).labels
+            pooled = sgb_any(points, 0.5, strategy="grid", partitions=keys,
+                             parallel=2).labels
+            reference = sgb_any(points, 0.5, strategy="all-pairs",
+                                partitions=keys).labels
+        assert serial == pooled == reference

@@ -7,6 +7,7 @@ a property SGB-All deliberately does *not* have, but SGB-Any must.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -90,6 +91,41 @@ class TestStrategyEquivalence:
             sgb_any(points, eps, "l2", s).partition() for s in STRATEGIES
         ]
         assert all(r == results[0] for r in results[1:])
+
+
+#: Quarter-steps and signed tiny values: points on grid cell edges for
+#: ε = 0.5 (probe windows reaching a fourth cell), exact-ε pairs,
+#: duplicates and negative coordinates.
+edge_coord = st.one_of(
+    st.integers(-8, 8).map(lambda k: 0.25 * k),
+    st.sampled_from([-1e-20, 1e-20, 0.5000000000000001,
+                     -0.49999999999999994]),
+)
+
+
+class TestGridKernelOracle:
+    """The batch grid kernel, forced onto inputs of any size, against
+    the BFS oracle in one to three dimensions."""
+
+    @pytest.mark.parametrize("metric", METRICS + ["l1"])
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_matches_bfs_oracle(self, metric, dim, data):
+        np_backend = pytest.importorskip("repro.kernels.numpy_backend")
+        from repro import kernels
+
+        points = data.draw(st.lists(
+            st.tuples(*[edge_coord] * dim), min_size=0, max_size=60,
+        ))
+        with kernels.use_backend("numpy"), \
+                mock.patch.object(np_backend, "_GRID_FALLBACK", 2):
+            res = sgb_any(points, 0.5, metric, "grid")
+        ours = {frozenset(m) for m in res.groups().values()}
+        reference = sgb_any(points, 0.5, metric, "all-pairs")
+        assert ours == {frozenset(m) for m in reference.groups().values()}
+        if metric == "linf":  # the oracle's L2 takes a square root
+            oracle = connected_components(points, 0.5, metric)
+            assert ours == {frozenset(c) for c in oracle}
 
 
 class TestDegenerate:

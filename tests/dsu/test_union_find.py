@@ -64,6 +64,12 @@ class TestBasics:
         assert groups == {frozenset({1, 2}), frozenset({3, 4}),
                           frozenset({5})}
 
+    def test_labels_numbered_by_first_appearance(self):
+        uf = UnionFind(range(6))
+        uf.union(5, 1)
+        uf.union(4, 2)
+        assert uf.labels(range(6)) == [0, 1, 2, 3, 2, 1]
+
     def test_find_path_compression_stability(self):
         uf = UnionFind()
         for i in range(100):

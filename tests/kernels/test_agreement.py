@@ -75,6 +75,70 @@ class TestBackendAgreement:
         assert counters["numpy"] == counters["python"]
 
 
+@needs_numpy
+class TestGridComponentsKernel:
+    """``grid_eps_components`` itself: the numpy kernel against the python
+    reference loop, bit for bit (labels, box tally, predicate charge)."""
+
+    @staticmethod
+    def _run(backend, points, eps, metric):
+        from repro.core.distance import resolve_metric
+        from repro.core.stats import CountingMetric
+
+        counting = CountingMetric(resolve_metric(metric))
+        with kernels.use_backend(backend):
+            labels, n_window = kernels.grid_eps_components(points, eps,
+                                                           counting)
+        return labels, n_window, counting.calls
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
+    def test_matches_reference_on_cell_edges(self, dim, metric):
+        rng = random.Random(dim)
+        # Quarter steps put points on the edges of ε = 0.5 cells, so
+        # windows reach a fourth cell; signed tiny values add exact-ε
+        # pairs across two cells.
+        points = [tuple(rng.choice([0.25 * rng.randint(-6, 6),
+                                    rng.choice([-1e-20, 1e-20])])
+                        for _ in range(dim)) for _ in range(300)]
+        numpy_run = self._run("numpy", points, 0.5, metric)
+        assert numpy_run == self._run("python", points, 0.5, metric)
+        assert numpy_run[2] == (0 if metric == "linf" else numpy_run[1])
+
+    def test_small_inputs_take_the_reference_loop(self, monkeypatch):
+        from repro.kernels import numpy_backend
+
+        def refuse(*args):
+            raise AssertionError("cell table built below the break-even")
+
+        monkeypatch.setattr(numpy_backend, "_cell_rows", refuse)
+        points = _points(numpy_backend._GRID_FALLBACK - 1, seed=2)
+        assert self._run("numpy", points, 0.7, "l2") == \
+            self._run("python", points, 0.7, "l2")
+
+    def test_peak_memory_bounded_on_dense_input(self):
+        # 1500 points in one cell: 1.12M candidate pairs, nearly all of
+        # them ε-edges.  Blocked expansion keeps the kernel's working set
+        # at a few blocks; an edge list alone (two int32 arrays) would
+        # take ~8.7 MB.
+        import tracemalloc
+
+        rng = random.Random(3)
+        points = [(rng.uniform(0, 0.99), rng.uniform(0, 0.99))
+                  for _ in range(1500)]
+        with kernels.use_backend("numpy"):
+            sgb_any(points[:100], 1.0, strategy="grid")  # warm imports
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = sgb_any(points, 1.0, strategy="grid")
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert result.n_groups == 1
+        assert peak < 4_000_000, peak
+
+
 class TestParallelAgreement:
     def _keyed_points(self, n=240, n_parts=5, seed=21):
         rng = random.Random(seed)

@@ -108,11 +108,11 @@ class TestChooserSurface:
             forced_db = _populated(sgb_any_strategy=forced)
             assert sorted(forced_db.execute(SGB_SQL).rows) == auto_rows, forced
 
-    def test_chooser_picks_kdtree_on_mid_density(self):
-        # Mid-density band at moderate n is where the k-d tree's
-        # leaf-batched probes beat both the grid (whose model cost
-        # grows linearly with occupancy) and all-pairs — the chooser
-        # must pick it from stats alone, with provenance.
+    def test_chooser_picks_grid_on_mid_density(self):
+        # Mid-density band at moderate n, where the k-d tree used to win
+        # against a per-point grid: the batch grid now beats both it and
+        # all-pairs, and the chooser must pick it from stats alone, with
+        # provenance.
         from repro.bench.experiments import uniform_points
 
         db = Database()
@@ -125,7 +125,7 @@ class TestChooserSurface:
             "SELECT min(id), count(*) FROM pts "
             "GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5"
         )
-        assert "strategy=kdtree/stats" in plan
+        assert "strategy=grid/stats" in plan
         forced = re.sub(r"\s+", " ", plan)
         assert "SimilarityGroupBy" in forced
 
